@@ -59,7 +59,13 @@ pub const PANIC_POLICIES: &[PanicPolicy] = &[
     },
     PanicPolicy {
         path_suffix: "crates/serve/src/batcher.rs",
-        functions: &["flush", "promote", "batcher_loop"],
+        functions: &[
+            "flush",
+            "account",
+            "answer_from_table",
+            "promote",
+            "batcher_loop",
+        ],
         reason: "the flush path drains every registered sim; a panic wedges the batcher thread",
     },
     PanicPolicy {

@@ -12,7 +12,7 @@
 //! ```text
 //!  clients (TCP)        ambipla_net                      ambipla_serve
 //!  ┌────────┐  Hello   ┌──────────────────────────┐     ┌─────────────┐
-//!  │tenant 1│─Request─▶│ conn threads:            │     │ batcher     │
+//!  │tenant 1│─Request─▶│ reader threads:          │     │ batcher     │
 //!  └────────┘          │  decode → route → quota  │     │ shard 0     │
 //!  ┌────────┐          │ DRR scheduler per tenant │────▶│ batcher     │
 //!  │tenant 2│◀─Reply───│ dispatcher → try_submit  │     │ shard 1 ... │
@@ -41,9 +41,9 @@
 //! * [`tenant`] — [`TenantId`], integer-math [`TokenBucket`] quotas
 //!   ([`QuotaConfig`]), per-tenant counters
 //!   ([`TenantState`] / [`TenantSnapshot`]) and the [`TenantRegistry`],
-//! * [`server`] — [`NetServer`]: nonblocking accept/connection loops,
-//!   the deficit-round-robin scheduler, the dispatcher, and
-//!   tenant-labeled [`NetServer::metric_families`],
+//! * [`server`] — [`NetServer`]: the blocking accept loop, a reader and
+//!   a writer thread per connection, the deficit-round-robin scheduler,
+//!   the dispatcher, and tenant-labeled [`NetServer::metric_families`],
 //! * [`client`] — the blocking reference [`NetClient`] used by tests,
 //!   benches and demos.
 

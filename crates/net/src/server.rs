@@ -1,38 +1,44 @@
-//! The TCP front end: accept loop, per-connection poll threads, and the
-//! deficit-round-robin dispatcher feeding the sharded [`SimService`].
+//! The TCP front end: accept loop, a reader and a writer thread per
+//! connection, and the deficit-round-robin dispatcher feeding the
+//! sharded [`SimService`].
 //!
 //! ```text
 //!  TCP clients      ┌────────────────────────── NetServer ─────────────────────────┐
-//!  Hello{tenant} ───┤ conn threads         DRR scheduler          dispatcher       │
+//!  Hello{tenant} ───┤ reader threads       DRR scheduler          dispatcher       │
 //!  Request ─────────┼▶ decode → route      [tenant 1  ████░]      try_submit_tagged│
 //!  Request ─────────┤  → arity → quota  ─▶ [tenant 2  █░░░░] ──▶  → SimService     │
 //!   └─ Error ◀──────┤  (token bucket)      quantum per turn        shards          │
-//!  Reply ◀──────────┴── per-conn reply stream ◀── scatter ◀── batcher flush ───────┘
+//!  Reply ◀──────────┴── writer ◀── per-conn outbox ◀── deliver ◀── batcher flush ──┘
 //! ```
 //!
 //! Each connection authenticates one [`TenantId`] in its hello frame,
 //! then streams requests; admission control (unknown sim, arity, quota)
-//! happens on the connection thread, fair scheduling across tenants
-//! happens in the internal scheduler (deficit round robin, one queue
-//! per tenant), and a single dispatcher thread drains scheduled batches
-//! into the sharded service. Replies come back per-connection over the
-//! service's shared reply channel and are streamed out of order,
+//! happens on the connection's reader thread, fair scheduling across
+//! tenants happens in the internal scheduler (deficit round robin, one
+//! queue per tenant), and a single dispatcher thread drains scheduled
+//! batches into the sharded service. Replies are streamed out of order,
 //! correlated by `req_id`.
 //!
-//! Everything is plain blocking/nonblocking `std::net` — no async
-//! runtime exists in the offline build environment, so connections use
-//! nonblocking sockets with a yield-then-sleep poll loop.
+//! Everything is plain blocking `std::net` — no async runtime exists in
+//! the offline build environment — and every thread blocks until work
+//! arrives: the accept thread in `accept`, each reader in `read`, the
+//! dispatcher on the scheduler's condvar, and each writer on its
+//! connection's outbox. The outbox is a mutex-and-condvar queue of
+//! encoded frames that the reader (error frames), the dispatcher
+//! (`QueueFull` refusals) and the batcher threads (replies, through its
+//! [`ReplyTarget`] impl) append to; the writer is the only thread that
+//! writes the socket. Shutdown wakes the accept thread with one loopback
+//! connect and every reader by shutting its socket down.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use ambipla_obs::{monotonic_ns, Event, EventKind, MetricFamily, MetricKind, Recorder, Sample};
-use ambipla_serve::{reply_channel, ReplySink, SharedSim, SimId, SimKey, SimService};
+use ambipla_serve::{ReplySink, ReplyTarget, SharedSim, SimId, SimKey, SimReply, SimService};
 
 use crate::protocol::{encode_frame, ErrorCode, Frame, FrameReader};
 use crate::tenant::{QuotaConfig, TenantId, TenantRegistry, TenantSnapshot, TenantState};
@@ -70,12 +76,105 @@ struct Route {
     mask: u64,
 }
 
-/// Error frames the dispatcher owes a connection (service-level
-/// `QueueFull` discovered after the scheduler already accepted the
-/// request).
-#[derive(Debug, Default)]
-struct ConnShared {
-    errors: Mutex<Vec<(u64, ErrorCode)>>,
+/// A connection's encoded outbound frames, waiting for its writer
+/// thread: replies delivered by batcher threads, the reader's error
+/// frames, and the dispatcher's `QueueFull` refusals. The writer blocks
+/// on `ready` until one lands.
+struct Outbox {
+    frames: Mutex<OutboxFrames>,
+    ready: Condvar,
+    /// The connection's tenant, billed for every reply queued here.
+    tenant: Arc<TenantState>,
+}
+
+#[derive(Default)]
+struct OutboxFrames {
+    bytes: Vec<u8>,
+    /// Set when the connection ends; frames pushed after it are dropped.
+    closed: bool,
+}
+
+impl Outbox {
+    fn new(tenant: Arc<TenantState>) -> Outbox {
+        Outbox {
+            frames: Mutex::new(OutboxFrames::default()),
+            ready: Condvar::new(),
+            tenant,
+        }
+    }
+
+    /// Queue `frame` for the writer; dropped once the connection closed.
+    ///
+    /// Lock poisoning is recovered as in the scheduler: every critical
+    /// section leaves whole frames and a valid flag behind.
+    fn push(&self, frame: &Frame) {
+        let mut out = self
+            .frames
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if out.closed {
+            return;
+        }
+        if matches!(frame, Frame::Reply { .. }) {
+            // Counted before the writer can send it, so a client that
+            // has read a reply finds it in the tenant's counters.
+            self.tenant.record_reply();
+        }
+        let was_empty = out.bytes.is_empty();
+        encode_frame(frame, &mut out.bytes);
+        drop(out);
+        // The writer only waits on an empty outbox, so only the first
+        // frame after it drained has to wake it.
+        if was_empty {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Block until frames are queued, then swap them into `buf` (empty
+    /// on entry, so the two buffers trade places without allocating).
+    /// `false` once the connection is closed.
+    fn wait_bytes(&self, buf: &mut Vec<u8>) -> bool {
+        let mut out = self
+            .frames
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        while out.bytes.is_empty() && !out.closed {
+            out = self
+                .ready
+                .wait(out)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+        if out.closed {
+            return false;
+        }
+        std::mem::swap(&mut out.bytes, buf);
+        true
+    }
+
+    /// End the connection from either of its threads: drop queued
+    /// frames, refuse later ones, wake the writer, and unblock whichever
+    /// thread sits in the socket.
+    fn hang_up(&self, stream: &TcpStream) {
+        let mut out = self
+            .frames
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        out.closed = true;
+        out.bytes = Vec::new();
+        drop(out);
+        self.ready.notify_all();
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+}
+
+impl ReplyTarget for Outbox {
+    fn deliver(&self, reply: SimReply) {
+        self.push(&Frame::Reply {
+            req_id: reply.tag,
+            epoch: reply.epoch,
+            outputs: reply.outputs,
+        });
+    }
 }
 
 /// One admitted request waiting for dispatch.
@@ -84,8 +183,18 @@ struct Pending {
     bits: u64,
     req_id: u64,
     sink: ReplySink,
-    tenant: Arc<TenantState>,
-    conn: Arc<ConnShared>,
+    outbox: Arc<Outbox>,
+}
+
+impl Pending {
+    /// Refuse the request as `QueueFull` on its connection.
+    fn refuse(&self) {
+        self.outbox.tenant.record_queue_full();
+        self.outbox.push(&Frame::Error {
+            req_id: self.req_id,
+            code: ErrorCode::QueueFull,
+        });
+    }
 }
 
 /// One tenant's scheduler queue.
@@ -225,6 +334,13 @@ impl Scheduler {
     }
 }
 
+/// An accepted connection: the server's own handle on its socket, so
+/// shutdown can unblock the reader, and the reader thread.
+struct Accepted {
+    stream: TcpStream,
+    reader: JoinHandle<()>,
+}
+
 /// Shared state between accept loop, connection threads and dispatcher.
 struct ServerCtx {
     service: Arc<SimService>,
@@ -234,7 +350,7 @@ struct ServerCtx {
     sched: Scheduler,
     recorder: Option<Arc<dyn Recorder>>,
     stop: AtomicBool,
-    conns: Mutex<Vec<JoinHandle<()>>>,
+    conns: Mutex<Vec<Accepted>>,
     conn_seq: AtomicU32,
 }
 
@@ -243,6 +359,16 @@ impl ServerCtx {
         if let Some(r) = &self.recorder {
             r.record(Event::now(kind));
         }
+    }
+
+    /// Every tracked connection, leaving none behind.
+    fn take_conns(&self) -> Vec<Accepted> {
+        std::mem::take(
+            &mut *self
+                .conns
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        )
     }
 }
 
@@ -306,7 +432,6 @@ impl NetServer {
         recorder: Option<Arc<dyn Recorder>>,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let ctx = Arc::new(ServerCtx {
             service,
@@ -324,27 +449,21 @@ impl NetServer {
         let accept = std::thread::Builder::new()
             .name("ambipla-net-accept".into())
             .spawn(move || accept_loop(listener, accept_ctx))?;
-        let disp_ctx = Arc::clone(&ctx);
-        let dispatcher = match std::thread::Builder::new()
-            .name("ambipla-net-dispatch".into())
-            .spawn(move || dispatch_loop(disp_ctx))
-        {
-            Ok(handle) => handle,
-            Err(e) => {
-                // Unwind the half-started server: stop the accept loop
-                // and reap it before reporting the error.
-                ctx.stop.store(true, Ordering::Relaxed);
-                ctx.sched.stop();
-                let _ = accept.join();
-                return Err(e);
-            }
-        };
-        Ok(NetServer {
+        let mut server = NetServer {
             ctx,
             accept: Some(accept),
-            dispatcher: Some(dispatcher),
+            dispatcher: None,
             addr,
-        })
+        };
+        let disp_ctx = Arc::clone(&server.ctx);
+        // If this spawn fails, dropping `server` stops and reaps the
+        // accept loop before the error is reported.
+        server.dispatcher = Some(
+            std::thread::Builder::new()
+                .name("ambipla-net-dispatch".into())
+                .spawn(move || dispatch_loop(disp_ctx))?,
+        );
+        Ok(server)
     }
 
     /// The bound address (with the real port when bound to port 0).
@@ -467,17 +586,21 @@ impl NetServer {
         // the loops touched. SeqCst would buy nothing here.
         self.ctx.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            // Wake the blocked `accept` with a connection of our own; if
+            // even that fails, leave the thread detached rather than hang.
+            if TcpStream::connect(loopback(self.addr)).is_ok() {
+                let _ = h.join();
+            }
         }
-        let conns: Vec<JoinHandle<()>> = std::mem::take(
-            &mut *self
-                .ctx
-                .conns
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        for h in conns {
-            let _ = h.join();
+        // The accept loop is gone, so these are all the connections
+        // there will be. Shutting a socket down wakes its reader, which
+        // then hangs up and joins its writer.
+        let conns = self.ctx.take_conns();
+        for c in &conns {
+            let _ = c.stream.shutdown(Shutdown::Both);
+        }
+        for c in conns {
+            let _ = c.reader.join();
         }
         // Connections are gone; drain whatever they admitted, then stop.
         self.ctx.sched.stop();
@@ -499,35 +622,55 @@ impl Drop for NetServer {
     }
 }
 
+/// `addr` with an unspecified IP (`0.0.0.0`, `::`) replaced by the
+/// loopback address of the same family, so the server can reach its
+/// own listener.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(if addr.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        });
+    }
+    addr
+}
+
 fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
-    // Relaxed load: cooperative stop flag, synchronized by join (see
-    // stop_threads).
-    while !ctx.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Relaxed: monotonic connection-id allocator; ids only
-                // need uniqueness, not ordering against other data.
-                let slot = ctx.conn_seq.fetch_add(1, Ordering::Relaxed);
-                let conn_ctx = Arc::clone(&ctx);
-                match std::thread::Builder::new()
-                    .name(format!("ambipla-net-conn-{slot}"))
-                    .spawn(move || conn_loop(stream, slot, conn_ctx))
-                {
-                    Ok(handle) => ctx
-                        .conns
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(handle),
-                    // Spawn failure (fd/thread exhaustion): drop the
-                    // stream, refusing this connection, and keep serving
-                    // the ones we have.
-                    Err(_) => continue,
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(500));
-            }
-            Err(_) => break,
+    for stream in listener.incoming() {
+        // Relaxed load: cooperative stop flag, synchronized by join (see
+        // stop_threads). The connection that woke us is not served.
+        if ctx.stop.load(Ordering::Relaxed) {
+            break;
+        }
+        let Ok(stream) = stream else {
+            break;
+        };
+        // Without its own handle the server could not unblock this
+        // connection's reader at shutdown: refuse the connection.
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        // Relaxed: monotonic connection-id allocator; ids only need
+        // uniqueness, not ordering against other data.
+        let slot = ctx.conn_seq.fetch_add(1, Ordering::Relaxed);
+        let conn_ctx = Arc::clone(&ctx);
+        // Spawn failure (fd/thread exhaustion) drops the stream, refusing
+        // this connection, and keeps serving the ones we have.
+        if let Ok(reader) = std::thread::Builder::new()
+            .name(format!("ambipla-net-conn-{slot}"))
+            .spawn(move || conn_loop(stream, slot, conn_ctx))
+        {
+            let mut conns = ctx
+                .conns
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            // Forget connections that have ended, closing their sockets.
+            conns.retain(|c| !c.reader.is_finished());
+            conns.push(Accepted {
+                stream: handle,
+                reader,
+            });
         }
     }
 }
@@ -535,131 +678,66 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
 fn dispatch_loop(ctx: Arc<ServerCtx>) {
     while let Some(batch) = ctx.sched.next_batch() {
         for p in batch {
-            match ctx
+            if ctx
                 .service
                 .try_submit_tagged(p.route.id, p.bits, p.req_id, &p.sink)
+                .is_err()
             {
-                Ok(()) => {}
-                Err(_) => {
-                    p.tenant.record_queue_full();
-                    p.conn
-                        .errors
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((p.req_id, ErrorCode::QueueFull));
-                }
+                p.refuse();
             }
         }
     }
 }
 
-/// Poll-loop idle backoff: spin `YIELDS` scheduler yields, then sleep.
-const IDLE_YIELDS: u32 = 64;
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
-
-struct Conn {
-    stream: TcpStream,
-    reader: FrameReader,
-    /// Pending outbound bytes (encoded frames) and the write cursor.
-    out: Vec<u8>,
-    out_pos: usize,
-    rbuf: Vec<u8>,
-}
-
-impl Conn {
-    /// Nonblocking read; `Ok(true)` = progress, `Ok(false)` = would
-    /// block, `Err` = EOF or hard error (drop the connection).
-    fn pump_read(&mut self) -> Result<bool, ()> {
-        match self.stream.read(&mut self.rbuf) {
-            Ok(0) => Err(()),
-            Ok(n) => {
-                self.reader.extend(&self.rbuf[..n]);
-                Ok(true)
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(false),
-            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(false),
-            Err(_) => Err(()),
-        }
-    }
-
-    /// Nonblocking write of buffered frames; same contract as
-    /// [`pump_read`](Conn::pump_read).
-    fn pump_write(&mut self) -> Result<bool, ()> {
-        if self.out_pos == self.out.len() {
-            if !self.out.is_empty() {
-                self.out.clear();
-                self.out_pos = 0;
-            }
-            return Ok(false);
-        }
-        match self.stream.write(&self.out[self.out_pos..]) {
-            Ok(0) => Err(()),
-            Ok(n) => {
-                self.out_pos += n;
-                if self.out_pos == self.out.len() {
-                    self.out.clear();
-                    self.out_pos = 0;
-                }
-                Ok(true)
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(false),
-            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(false),
-            Err(_) => Err(()),
-        }
-    }
-
-    fn queue_frame(&mut self, frame: &Frame) {
-        encode_frame(frame, &mut self.out);
-    }
-}
-
-/// Wait for the client's `Hello` and answer `HelloOk`.
-///
-/// Returns the authenticated tenant, or `None` if the stream errored,
-/// sent garbage, opened with any other frame, or the server stopped.
-fn hello_phase(conn: &mut Conn, ctx: &ServerCtx) -> Option<TenantId> {
-    let mut idle = 0u32;
+/// Block until more bytes arrive and hand them to `frames`; `false` on
+/// EOF, a socket error, or server shutdown.
+fn fill(mut stream: &TcpStream, frames: &mut FrameReader, buf: &mut [u8], ctx: &ServerCtx) -> bool {
     loop {
-        // Relaxed: cooperative stop flag, synchronized by thread join.
-        if ctx.stop.load(Ordering::Relaxed) {
-            return None;
-        }
-        match conn.reader.next_frame() {
-            Ok(Some(Frame::Hello { tenant })) => {
-                conn.queue_frame(&Frame::HelloOk);
-                return Some(tenant);
+        match stream.read(buf) {
+            Ok(0) => return false,
+            Ok(n) => {
+                frames.extend(&buf[..n]);
+                // Relaxed: cooperative stop flag, synchronized by join.
+                return !ctx.stop.load(Ordering::Relaxed);
             }
-            Ok(Some(_)) => return None,
-            Err(_) => return None,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+}
+
+/// Block until the client's `Hello`. `None` if the stream ended, errored
+/// or sent garbage, opened with any other frame, or the server stopped.
+fn read_hello(
+    stream: &TcpStream,
+    frames: &mut FrameReader,
+    buf: &mut [u8],
+    ctx: &ServerCtx,
+) -> Option<TenantId> {
+    loop {
+        match frames.next_frame() {
+            Ok(Some(Frame::Hello { tenant })) => return Some(tenant),
+            Ok(Some(_)) | Err(_) => return None,
             Ok(None) => {}
         }
-        match conn.pump_read() {
-            Ok(true) => idle = 0,
-            Ok(false) => {
-                idle += 1;
-                if idle <= IDLE_YIELDS {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(IDLE_SLEEP);
-                }
-            }
-            Err(()) => return None,
+        if !fill(stream, frames, buf, ctx) {
+            return None;
         }
     }
 }
 
+/// A connection's reader thread: the hello, then [`read_loop`] with a
+/// writer thread draining the connection's outbox beside it.
 fn conn_loop(stream: TcpStream, conn_slot: u32, ctx: Arc<ServerCtx>) {
-    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-        return;
-    }
-    let mut conn = Conn {
-        stream,
-        reader: FrameReader::new(),
-        out: Vec::new(),
-        out_pos: 0,
-        rbuf: vec![0u8; 16 * 1024],
+    let mut frames = FrameReader::new();
+    let mut buf = vec![0u8; 16 * 1024];
+    let hello = match stream.set_nodelay(true) {
+        Ok(()) => read_hello(&stream, &mut frames, &mut buf, &ctx),
+        Err(_) => None,
     };
-    let Some(tenant_id) = hello_phase(&mut conn, &ctx) else {
+    let Some(tenant_id) = hello else {
+        // The server's own handle keeps the socket open: end it here.
+        let _ = stream.shutdown(Shutdown::Both);
         return;
     };
     let tenant = ctx.tenants.get_or_create(tenant_id, monotonic_ns());
@@ -668,28 +746,46 @@ fn conn_loop(stream: TcpStream, conn_slot: u32, ctx: Arc<ServerCtx>) {
         tenant: tenant_id.raw(),
         slot: conn_slot,
     });
-    let slot = ctx.sched.tenant_slot(tenant_id.raw());
-    let shared = Arc::new(ConnShared::default());
-    let (sink, replies) = reply_channel();
+    let outbox = Arc::new(Outbox::new(Arc::clone(&tenant)));
+    outbox.push(&Frame::HelloOk);
+    let writer = stream.try_clone().and_then(|s| {
+        let outbox = Arc::clone(&outbox);
+        std::thread::Builder::new()
+            .name(format!("ambipla-net-write-{conn_slot}"))
+            .spawn(move || write_loop(s, &outbox))
+    });
+    if writer.is_ok() {
+        read_loop(&stream, &mut frames, &mut buf, &outbox, &ctx);
+    }
+    outbox.hang_up(&stream);
+    if let Ok(writer) = writer {
+        let _ = writer.join();
+    }
+    tenant.record_disconnect();
+    ctx.record(EventKind::Disconnect {
+        tenant: tenant_id.raw(),
+        slot: conn_slot,
+    });
+}
+
+/// Decode, route and admit requests until EOF, a protocol violation, a
+/// socket error or server shutdown.
+fn read_loop(
+    stream: &TcpStream,
+    frames: &mut FrameReader,
+    buf: &mut [u8],
+    outbox: &Arc<Outbox>,
+    ctx: &ServerCtx,
+) {
+    let tenant = &outbox.tenant;
+    let slot = ctx.sched.tenant_slot(tenant.id.raw());
+    let sink = ReplySink::new(Arc::clone(outbox) as Arc<dyn ReplyTarget>);
     let mut admitted: Vec<Pending> = Vec::new();
-    let mut idle = 0u32;
-    let mut alive = true;
-
-    // Relaxed: cooperative stop flag, synchronized by thread join.
-    while alive && !ctx.stop.load(Ordering::Relaxed) {
-        let mut progress = false;
-
-        // 1. Pull bytes off the socket.
-        match conn.pump_read() {
-            Ok(p) => progress |= p,
-            Err(()) => alive = false,
-        }
-
-        // 2. Decode and admit requests.
+    let mut open = true;
+    while open && fill(stream, frames, buf, ctx) {
         loop {
-            match conn.reader.next_frame() {
+            match frames.next_frame() {
                 Ok(Some(Frame::Request { req_id, sim, bits })) => {
-                    progress = true;
                     let route = ctx
                         .routes
                         .read()
@@ -699,14 +795,14 @@ fn conn_loop(stream: TcpStream, conn_slot: u32, ctx: Arc<ServerCtx>) {
                     match route {
                         None => {
                             tenant.record_unknown_sim();
-                            conn.queue_frame(&Frame::Error {
+                            outbox.push(&Frame::Error {
                                 req_id,
                                 code: ErrorCode::UnknownSim,
                             });
                         }
                         Some(route) if bits & !route.mask != 0 => {
                             tenant.record_bad_arity();
-                            conn.queue_frame(&Frame::Error {
+                            outbox.push(&Frame::Error {
                                 req_id,
                                 code: ErrorCode::BadArity,
                             });
@@ -719,16 +815,15 @@ fn conn_loop(stream: TcpStream, conn_slot: u32, ctx: Arc<ServerCtx>) {
                                     bits,
                                     req_id,
                                     sink: sink.clone(),
-                                    tenant: Arc::clone(&tenant),
-                                    conn: Arc::clone(&shared),
+                                    outbox: Arc::clone(outbox),
                                 });
                             } else {
                                 tenant.record_quota_reject();
                                 ctx.record(EventKind::QuotaReject {
-                                    tenant: tenant_id.raw(),
+                                    tenant: tenant.id.raw(),
                                     slot: route.id.slot_index(),
                                 });
-                                conn.queue_frame(&Frame::Error {
+                                outbox.push(&Frame::Error {
                                     req_id,
                                     code: ErrorCode::QuotaExceeded,
                                 });
@@ -736,81 +831,44 @@ fn conn_loop(stream: TcpStream, conn_slot: u32, ctx: Arc<ServerCtx>) {
                         }
                     }
                 }
+                Ok(None) => break,
                 // Anything else post-hello is a protocol violation.
                 Ok(Some(_)) | Err(_) => {
-                    alive = false;
+                    open = false;
                     break;
                 }
-                Ok(None) => break,
             }
         }
-
-        // 3. Hand admitted requests to the fair scheduler; over-cap
-        //    spillback becomes QueueFull errors right here.
+        // Hand admitted requests to the fair scheduler; over-cap
+        // spillback is refused right here.
         if !admitted.is_empty() {
-            progress = true;
             for p in ctx.sched.enqueue(slot, std::mem::take(&mut admitted)) {
-                p.tenant.record_queue_full();
-                conn.queue_frame(&Frame::Error {
-                    req_id: p.req_id,
-                    code: ErrorCode::QueueFull,
-                });
-            }
-        }
-
-        // 4. Errors the dispatcher reported for this connection.
-        {
-            let mut errs = shared
-                .errors
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for (req_id, code) in errs.drain(..) {
-                progress = true;
-                conn.queue_frame(&Frame::Error { req_id, code });
-            }
-        }
-
-        // 5. Stream replies back, out of order, correlated by tag.
-        while let Some(r) = replies.try_recv() {
-            progress = true;
-            tenant.record_reply();
-            conn.queue_frame(&Frame::Reply {
-                req_id: r.tag,
-                epoch: r.epoch,
-                outputs: r.outputs,
-            });
-        }
-
-        // 6. Push queued bytes out.
-        match conn.pump_write() {
-            Ok(p) => progress |= p,
-            Err(()) => alive = false,
-        }
-
-        if progress {
-            idle = 0;
-        } else {
-            idle += 1;
-            if idle <= IDLE_YIELDS {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(IDLE_SLEEP);
+                p.refuse();
             }
         }
     }
+}
 
-    tenant.record_disconnect();
-    ctx.record(EventKind::Disconnect {
-        tenant: tenant_id.raw(),
-        slot: conn_slot,
-    });
+/// A connection's writer thread: write whatever the outbox collects
+/// until the connection ends, then hang up so a blocked reader wakes.
+fn write_loop(mut stream: TcpStream, outbox: &Outbox) {
+    let mut bytes = Vec::new();
+    while outbox.wait_bytes(&mut bytes) {
+        if stream.write_all(&bytes).is_err() {
+            break;
+        }
+        bytes.clear();
+    }
+    outbox.hang_up(&stream);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ambipla_serve::ServeConfig;
+    use crate::client::NetClient;
+    use ambipla_serve::{reply_channel, ServeConfig};
     use logic::Cover;
+    use std::time::{Duration, Instant};
 
     fn xor() -> Cover {
         Cover::parse("10 1\n01 1", 2, 1).expect("xor cover")
@@ -837,14 +895,14 @@ mod tests {
         let tenants = TenantRegistry::new(QuotaConfig::unlimited());
         let mk = |tenant: u64, n: usize| -> Vec<Pending> {
             let state = tenants.get_or_create(TenantId::new(tenant), 0);
+            let outbox = Arc::new(Outbox::new(state));
             (0..n)
                 .map(|i| Pending {
                     route,
                     bits: 0,
                     req_id: tenant * 1000 + i as u64,
                     sink: sink.clone(),
-                    tenant: Arc::clone(&state),
-                    conn: Arc::new(ConnShared::default()),
+                    outbox: Arc::clone(&outbox),
                 })
                 .collect()
         };
@@ -881,7 +939,7 @@ mod tests {
         let id = service.register_sim(Arc::new(xor()), SimKey::new(1));
         let route = Route { id, mask: 0b11 };
         let tenants = TenantRegistry::new(QuotaConfig::unlimited());
-        let state = tenants.get_or_create(TenantId::new(1), 0);
+        let outbox = Arc::new(Outbox::new(tenants.get_or_create(TenantId::new(1), 0)));
         let slot = sched.tenant_slot(1);
         let batch: Vec<Pending> = (0..5)
             .map(|i| Pending {
@@ -889,8 +947,7 @@ mod tests {
                 bits: 0,
                 req_id: i,
                 sink: sink.clone(),
-                tenant: Arc::clone(&state),
-                conn: Arc::new(ConnShared::default()),
+                outbox: Arc::clone(&outbox),
             })
             .collect();
         let rejected = sched.enqueue(slot, batch);
@@ -908,8 +965,8 @@ mod tests {
         let key = SimKey::new(77);
         server.register_sim(Arc::new(xor()), key);
 
-        let mut client = crate::client::NetClient::connect(server.local_addr(), TenantId::new(5))
-            .expect("connect");
+        let mut client =
+            NetClient::connect(server.local_addr(), TenantId::new(5)).expect("connect");
         for (bits, want) in [(0b00u64, false), (0b01, true), (0b10, true), (0b11, false)] {
             let reply = client.call(key, bits, bits).expect("call");
             match reply {
@@ -970,8 +1027,8 @@ mod tests {
                 burst: 3,
             },
         );
-        let mut client = crate::client::NetClient::connect(server.local_addr(), TenantId::new(2))
-            .expect("connect");
+        let mut client =
+            NetClient::connect(server.local_addr(), TenantId::new(2)).expect("connect");
         let mut ok = 0;
         let mut rejected = 0;
         for i in 0..5u64 {
@@ -990,6 +1047,107 @@ mod tests {
         assert_eq!((ok, rejected), (3, 2));
         let stats = server.tenant_stats();
         assert_eq!(stats[0].quota_rejected, 2);
+        server.shutdown();
+    }
+
+    /// A `QueueFull` the service raises after the scheduler admitted the
+    /// request reaches a client that sends nothing more: the dispatcher's
+    /// refusal alone wakes the connection's writer.
+    #[test]
+    fn dispatcher_queue_full_reaches_an_idle_client() {
+        let service = Arc::new(
+            SimService::start(ServeConfig {
+                queue_depth: 1,
+                // The first request holds the only queue slot throughout.
+                max_wait: Duration::from_secs(10),
+                ..ServeConfig::default()
+            })
+            .expect("valid config"),
+        );
+        let server = NetServer::bind("127.0.0.1:0", Arc::clone(&service), NetConfig::default())
+            .expect("bind");
+        let key = SimKey::new(3);
+        server.register_sim(Arc::new(xor()), key);
+        let mut client =
+            NetClient::connect(server.local_addr(), TenantId::new(1)).expect("connect");
+        client.queue_request(key, 1, 0b01);
+        client.queue_request(key, 2, 0b10);
+        client.flush().expect("flush");
+        let started = Instant::now();
+        assert_eq!(
+            client.recv().expect("recv"),
+            Frame::Error {
+                req_id: 2,
+                code: ErrorCode::QueueFull
+            }
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "refusal took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(server.tenant_stats()[0].queue_full, 1);
+        server.shutdown();
+    }
+
+    /// Shutdown wakes every blocked thread: the accept loop, an idle
+    /// authenticated connection's reader and writer, and a reader still
+    /// waiting for a `Hello` that never comes.
+    #[test]
+    fn shutdown_returns_promptly_with_idle_and_silent_clients() {
+        let service = service(1);
+        let server = NetServer::bind("127.0.0.1:0", Arc::clone(&service), NetConfig::default())
+            .expect("bind");
+        // Accepted first: once the second client's handshake completes,
+        // the accept loop has already given this one its reader thread.
+        let silent = TcpStream::connect(server.local_addr()).expect("connect silent client");
+        let mut idle = NetClient::connect(server.local_addr(), TenantId::new(4)).expect("connect");
+        let started = Instant::now();
+        server.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "shutdown took {:?}",
+            started.elapsed()
+        );
+        // Both clients see their connection end.
+        assert!(idle.recv().is_err());
+        let mut byte = [0u8; 1];
+        assert_eq!((&silent).read(&mut byte).expect("orderly close"), 0);
+    }
+
+    /// A tenant that pipelines a burst and drops its connection without
+    /// reading a single reply leaves another tenant's service intact.
+    #[test]
+    fn abandoned_pipeline_does_not_disturb_another_tenant() {
+        let service = service(2);
+        let server = NetServer::bind("127.0.0.1:0", Arc::clone(&service), NetConfig::default())
+            .expect("bind");
+        let key = SimKey::new(21);
+        server.register_sim(Arc::new(xor()), key);
+        let mut rude = NetClient::connect(server.local_addr(), TenantId::new(1)).expect("connect");
+        for i in 0..1000u64 {
+            rude.queue_request(key, i, i & 0b11);
+        }
+        rude.flush().expect("flush burst");
+        drop(rude);
+
+        let mut polite =
+            NetClient::connect(server.local_addr(), TenantId::new(2)).expect("connect");
+        for i in 0..200u64 {
+            let bits = i & 0b11;
+            match polite.call(key, i, bits).expect("call") {
+                Frame::Reply {
+                    req_id, outputs, ..
+                } => {
+                    assert_eq!(req_id, i);
+                    assert_eq!(outputs, vec![bits.count_ones() == 1]);
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        let polite_stats = server.tenant_stats()[1];
+        assert_eq!(polite_stats.id, TenantId::new(2));
+        assert_eq!((polite_stats.accepted, polite_stats.replies), (200, 200));
         server.shutdown();
     }
 }

@@ -96,14 +96,19 @@ impl TokenBucket {
     /// Take one token if available; `false` means "over quota".
     ///
     /// Refills first: `dt_ns × rate_per_sec / 1000` micro-tokens since
-    /// the last call, capped at `burst` tokens. Unlimited quotas
-    /// short-circuit to `true`.
+    /// the latest timestamp seen, capped at `burst` tokens. Unlimited
+    /// quotas short-circuit to `true`.
+    ///
+    /// Callers may pass timestamps out of order (two connections of one
+    /// tenant read the clock before taking the bucket lock), so the
+    /// refill clock only moves forward: an earlier stamp refills nothing
+    /// and cannot make a later one refill the same interval twice.
     pub fn try_take(&mut self, now_ns: u64) -> bool {
         if self.config.is_unlimited() {
             return true;
         }
         let dt_ns = now_ns.saturating_sub(self.last_ns);
-        self.last_ns = now_ns;
+        self.last_ns = self.last_ns.max(now_ns);
         let cap = (self.config.burst as u128).saturating_mul(MICRO);
         // rate tokens/sec = rate micro-tokens/µs = rate/1000 micro-tokens/ns.
         let gained = dt_ns as u128 * self.config.rate_per_sec as u128 / 1000;
@@ -359,6 +364,23 @@ mod tests {
             assert!(b.try_take(late + i), "token {i} of the refilled burst");
         }
         assert!(!b.try_take(late + 3), "capped at burst");
+    }
+
+    #[test]
+    fn out_of_order_timestamps_never_refill_an_interval_twice() {
+        // One token per ms, burst 1. Over 1.5 ms the bucket may grant
+        // the burst plus one refill; the late 0.5 ms stamp must not pull
+        // the clock back and let 1.5 ms refill 0.5..1.5 ms again.
+        let q = QuotaConfig {
+            rate_per_sec: 1000,
+            burst: 1,
+        };
+        let mut b = TokenBucket::new(q, 0);
+        let granted = [0, 1_000_000, 500_000, 1_500_000]
+            .into_iter()
+            .filter(|&t| b.try_take(t))
+            .count();
+        assert_eq!(granted, 2);
     }
 
     #[test]

@@ -32,9 +32,11 @@
 //! independent of the configured width. Sub-blocks that hit are copied
 //! from the cache; the misses are gathered into one narrower block and
 //! evaluated with a single `eval_words` call. Results are scattered back
-//! to callers over per-request or shared reply channels. Backpressure is
-//! opt-in per submission: [`SimService::try_submit`] refuses with
-//! [`QueueFull`] once a simulator's pending queue reaches
+//! to each request's [`ReplySink`]: a per-request ticket channel, a
+//! shared reply channel, or any [`ReplyTarget`] a front end supplies
+//! (the network server delivers straight into a connection's outbox).
+//! Backpressure is opt-in per submission: [`SimService::try_submit`]
+//! refuses with [`QueueFull`] once a simulator's pending queue reaches
 //! `ServeConfig::queue_depth`, while the plain `submit` paths stay
 //! unbounded for trusted in-process callers. Dropping the service (or
 //! calling [`shutdown`](SimService::shutdown)) drains every queue before
@@ -79,10 +81,10 @@
 //! A registration whose backend is small enough serves faster from a
 //! [`TruthTable`] than from any batched evaluation: one exhaustive sweep
 //! materializes all `2^n` answers into packed words, and every later
-//! flush answers each lane by indexed load — no packing, no cache
-//! lookups, no backend call. Each registration therefore carries a
-//! **tier** ([`Tier::Batched`] or [`Tier::Materialized`]) governed by
-//! [`ServeConfig::tier_policy`]:
+//! request is answered **on arrival** by indexed load — no wait for
+//! `max_wait`, no packing, no cache lookups, no backend call. Each
+//! registration therefore carries a **tier** ([`Tier::Batched`] or
+//! [`Tier::Materialized`]) governed by [`ServeConfig::tier_policy`]:
 //!
 //! * [`TierPolicy::Auto`] (default) promotes a registration once its
 //!   observed evaluation spend provably exceeds the one-time sweep cost.
@@ -103,12 +105,18 @@
 //! contradictory knob combinations are refused up front by
 //! [`ServeConfig::validate`].
 //!
-//! The tier preserves every contract above: materialized flushes still
-//! record stats / [`EventKind::Flush`] per block (with zero cache
-//! traffic), still decrement the pending gauge before scattering, and a
-//! hot swap **drops the stale table, then re-materializes under the new
-//! epoch** before `swap_sim` returns (Auto re-materializes if the slot
-//! was materialized; Forced always), so a materialized registration is
+//! The tier preserves every contract above. A table answer is accounted
+//! as a full one-lane block that waited 0 ns with zero cache traffic
+//! (one [`EventKind::Flush`] with `lanes: 1, words: 0`), and it leaves
+//! the pending gauge before its reply is delivered, so lane occupancy
+//! and the flush-event lane total mean what they mean for batched
+//! blocks. A materialized registration never holds a queue: promotion
+//! (after a flush), re-materialization (after a swap's drain) and Forced
+//! registration all happen while its queue is empty, so each request is
+//! answered under the epoch current when it arrives. A hot swap **drops
+//! the stale table, then re-materializes under the new epoch** before
+//! `swap_sim` returns (Auto re-materializes if the slot was
+//! materialized; Forced always), so a materialized registration is
 //! bit-identical to a batched one across its whole epoch history.
 //! Promotions are announced via [`EventKind::TierPromote`] and visible
 //! as [`RegSnapshot::tier`] / the `ambipla_tier` metric family.
@@ -368,9 +376,43 @@ pub struct SimReply {
     pub outputs: Vec<bool>,
 }
 
-/// Sending half of a shared reply channel (clonable; one per client).
-#[derive(Debug, Clone)]
-pub struct ReplySink(Sender<SimReply>);
+/// Where a batcher thread hands one [`SimReply`]. Implemented for the
+/// channel [`Sender`] behind [`reply_channel`] and tickets; a front end
+/// implements it to receive replies without a channel hop (the network
+/// server delivers into a connection's outbox).
+///
+/// `deliver` runs on the batcher thread, between flushes: it must not
+/// block for long.
+pub trait ReplyTarget: Send + Sync {
+    /// Take one reply. A target that can no longer use it (a dropped
+    /// receiver, a closed connection) drops it silently.
+    fn deliver(&self, reply: SimReply);
+}
+
+impl ReplyTarget for Sender<SimReply> {
+    fn deliver(&self, reply: SimReply) {
+        // A client may have dropped its receiver; that is not an error.
+        let _ = self.send(reply);
+    }
+}
+
+/// Where a request's reply goes: the sending half of a shared reply
+/// channel, or any [`ReplyTarget`] (clonable; one per client).
+#[derive(Clone)]
+pub struct ReplySink(Arc<dyn ReplyTarget>);
+
+impl ReplySink {
+    /// A sink delivering every reply to `target`.
+    pub fn new(target: Arc<dyn ReplyTarget>) -> ReplySink {
+        ReplySink(target)
+    }
+}
+
+impl fmt::Debug for ReplySink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ReplySink").finish_non_exhaustive()
+    }
+}
 
 /// Receiving half of a shared reply channel.
 #[derive(Debug)]
@@ -398,7 +440,7 @@ impl ReplyStream {
 /// one channel allocation per client instead of one per request.
 pub fn reply_channel() -> (ReplySink, ReplyStream) {
     let (tx, rx) = channel();
-    (ReplySink(tx), ReplyStream(rx))
+    (ReplySink(Arc::new(tx)), ReplyStream(rx))
 }
 
 /// Pending response handle of a single [`SimService::submit`] call.
@@ -468,7 +510,7 @@ enum Msg {
         id: usize,
         bits: u64,
         tag: u64,
-        reply: Sender<SimReply>,
+        reply: ReplySink,
     },
     Swap {
         id: usize,
@@ -727,7 +769,7 @@ impl SimService {
         let (tx, rx) = channel();
         let slot = self.slot(sim);
         slot.pending.fetch_add(1, Ordering::Relaxed);
-        self.submit_raw(&slot, sim, bits, 0, tx);
+        self.submit_raw(&slot, sim, bits, 0, ReplySink(Arc::new(tx)));
         SimTicket(rx)
     }
 
@@ -756,7 +798,7 @@ impl SimService {
             return Err(QueueFull { depth });
         }
         let (tx, rx) = channel();
-        self.submit_raw(&slot, sim, bits, 0, tx);
+        self.submit_raw(&slot, sim, bits, 0, ReplySink(Arc::new(tx)));
         Ok(SimTicket(rx))
     }
 
@@ -766,7 +808,7 @@ impl SimService {
     pub fn submit_tagged(&self, sim: SimId, bits: u64, tag: u64, reply: &ReplySink) {
         let slot = self.slot(sim);
         slot.pending.fetch_add(1, Ordering::Relaxed);
-        self.submit_raw(&slot, sim, bits, tag, reply.0.clone());
+        self.submit_raw(&slot, sim, bits, tag, reply.clone());
     }
 
     /// Bounded tagged submission: [`SimService::submit_tagged`] with
@@ -799,7 +841,7 @@ impl SimService {
             }
             return Err(QueueFull { depth });
         }
-        self.submit_raw(&slot, sim, bits, tag, reply.0.clone());
+        self.submit_raw(&slot, sim, bits, tag, reply.clone());
         Ok(())
     }
 
@@ -818,14 +860,7 @@ impl SimService {
         Arc::clone(slots.get(sim.slot).expect("unregistered sim id"))
     }
 
-    fn submit_raw(
-        &self,
-        slot: &SlotState,
-        sim: SimId,
-        bits: u64,
-        tag: u64,
-        reply: Sender<SimReply>,
-    ) {
+    fn submit_raw(&self, slot: &SlotState, sim: SimId, bits: u64, tag: u64, reply: ReplySink) {
         slot.stats.record_request();
         self.shards[slot.shard]
             .tx
@@ -935,8 +970,10 @@ struct Registered {
     /// registration — swaps keep the arity, so they keep eligibility.
     tier_eligible: bool,
     /// The materialized tier: `Some` once promoted, dropped (and
-    /// possibly rebuilt) on every swap. When present, `flush` answers
-    /// every lane from it by indexed load.
+    /// possibly rebuilt) on every swap. Only ever set while the queue is
+    /// empty; while present, every request is answered from it on
+    /// arrival ([`answer_from_table`](Registered::answer_from_table)), so
+    /// the queue stays empty.
     table: Option<TruthTable>,
     /// Lanes flushed under the current epoch — the Auto policy's
     /// traffic-floor counter. Reset on swap.
@@ -957,7 +994,7 @@ struct Registered {
     /// by `RegStats::begin_epoch` on every swap.
     epoch_stats: Arc<EpochStats>,
     vectors: Vec<u64>,
-    replies: Vec<(u64, Sender<SimReply>)>,
+    replies: Vec<(u64, ReplySink)>,
     opened: Option<Instant>,
     /// Packed input block, `n_inputs × words`, signal-major.
     packed: Vec<u64>,
@@ -1039,6 +1076,61 @@ impl Registered {
         self.table = Some(table);
     }
 
+    /// Account one block before any of its replies is delivered. A reply
+    /// is the caller's signal that its request fully left the service, so
+    /// by the time one arrives the block must already be visible in the
+    /// stats and the pending count (a drain-then-try_submit or
+    /// drain-then-stats sequence must not race these updates). The
+    /// event's `words` is the lane words evaluated, `capacity / 64`.
+    fn account(
+        &self,
+        cause: FlushCause,
+        lanes: usize,
+        capacity: usize,
+        latency_ns: u64,
+        (cache_hits, cache_misses): (usize, usize),
+        recorder: &Option<Arc<dyn Recorder>>,
+    ) {
+        self.epoch_stats
+            .record_flush(cause, lanes, capacity, latency_ns, cache_hits, cache_misses);
+        self.slot.pending.fetch_sub(lanes, Ordering::Relaxed);
+        if let Some(rec) = recorder {
+            rec.record(Event::now(EventKind::Flush {
+                slot: self.slot.stats.slot(),
+                epoch: self.epoch,
+                cause,
+                lanes: lanes as u32,
+                words: (capacity / LANES) as u32,
+                latency_ns,
+                cache_hits: cache_hits as u32,
+                cache_misses: cache_misses as u32,
+            }));
+        }
+    }
+
+    /// Answer one request from the materialized table as it arrives: no
+    /// packing, no cache traffic, no backend call. It is accounted as a
+    /// full one-lane block that waited 0 ns. Returns `false`, answering
+    /// nothing, while the registration is batched.
+    fn answer_from_table(
+        &self,
+        bits: u64,
+        tag: u64,
+        reply: &ReplySink,
+        recorder: &Option<Arc<dyn Recorder>>,
+    ) -> bool {
+        let Some(table) = &self.table else {
+            return false;
+        };
+        self.account(FlushCause::Full, 1, 1, 0, (0, 0), recorder);
+        reply.0.deliver(SimReply {
+            tag,
+            epoch: self.epoch,
+            outputs: table.lookup_bits(bits),
+        });
+        true
+    }
+
     fn flush(
         &mut self,
         cause: FlushCause,
@@ -1046,44 +1138,6 @@ impl Registered {
         recorder: &Option<Arc<dyn Recorder>>,
     ) {
         if self.vectors.is_empty() {
-            return;
-        }
-        if let Some(table) = &self.table {
-            // Materialized tier: answer every lane by indexed load — no
-            // packing, no cache traffic, no backend call. The stats /
-            // event / pending contracts are the batched path's exactly
-            // (words priced as the batched flush would, zero cache
-            // hits and misses).
-            let lanes = self.vectors.len();
-            let words = lanes.div_ceil(LANES);
-            let latency_ns = self
-                .opened
-                .map(|t| t.elapsed().as_nanos() as u64)
-                .unwrap_or(0);
-            self.epoch_stats
-                .record_flush(cause, lanes, words, latency_ns, 0, 0);
-            self.slot.pending.fetch_sub(lanes, Ordering::Relaxed);
-            if let Some(rec) = recorder {
-                rec.record(Event::now(EventKind::Flush {
-                    slot: self.slot.stats.slot(),
-                    epoch: self.epoch,
-                    cause,
-                    lanes: lanes as u32,
-                    words: words as u32,
-                    latency_ns,
-                    cache_hits: 0,
-                    cache_misses: 0,
-                }));
-            }
-            for (lane, (tag, reply)) in self.replies.drain(..).enumerate() {
-                let _ = reply.send(SimReply {
-                    tag,
-                    epoch: self.epoch,
-                    outputs: table.lookup_bits(self.vectors[lane]),
-                });
-            }
-            self.vectors.clear();
-            self.opened = None;
             return;
         }
         let lanes = self.vectors.len();
@@ -1182,32 +1236,19 @@ impl Registered {
                 }
             }
         }
-        // Account before scattering: a reply is the caller's signal that
-        // its request fully left the service, so by the time a ticket
-        // resolves the flush must already be visible in the stats and the
-        // pending count (a drain-then-try_submit or drain-then-stats
-        // sequence must not race these updates).
-        self.epoch_stats
-            .record_flush(cause, lanes, words, latency_ns, cache_hits, cache_misses);
-        self.slot.pending.fetch_sub(lanes, Ordering::Relaxed);
-        if let Some(rec) = recorder {
-            rec.record(Event::now(EventKind::Flush {
-                slot: self.slot.stats.slot(),
-                epoch: self.epoch,
-                cause,
-                lanes: lanes as u32,
-                words: words as u32,
-                latency_ns,
-                cache_hits: cache_hits as u32,
-                cache_misses: cache_misses as u32,
-            }));
-        }
+        self.account(
+            cause,
+            lanes,
+            words * LANES,
+            latency_ns,
+            (cache_hits, cache_misses),
+            recorder,
+        );
         // Scatter lane results. Only the `lanes` valid lanes are ever
         // unpacked, which is what makes partial (deadline) blocks safe —
         // see `logic::eval::lane_mask`.
         for (lane, (tag, reply)) in self.replies.drain(..).enumerate() {
-            // A client may have dropped its ticket; that is not an error.
-            let _ = reply.send(SimReply {
+            reply.0.deliver(SimReply {
                 tag,
                 epoch: self.epoch,
                 outputs: unpack_lane_words(&self.out, lane, words),
@@ -1218,7 +1259,8 @@ impl Registered {
         // Auto-tiering: once this epoch's backend spend has provably paid
         // for a full exhaustive sweep (eval_lanes ≥ 2^n — see the module
         // docs for why the per-lane cost cancels) and the traffic floor
-        // is met, materialize so the *next* flush serves by indexed load.
+        // is met, materialize: the queue was just emptied, so from the
+        // next request on every one is answered on arrival.
         self.lanes_served += lanes as u64;
         if self.tier_policy == TierPolicy::Auto
             && self.tier_eligible
@@ -1289,7 +1331,8 @@ fn batcher_loop(
                 }
                 // Forced tier: the table is ready before the first
                 // request (register_sim has already returned the id, but
-                // every Submit for it lands behind this message).
+                // every Submit for it lands behind this message), so the
+                // queue is still empty.
                 if r.tier_policy == TierPolicy::Forced && r.tier_eligible {
                     r.promote(&recorder);
                 }
@@ -1310,6 +1353,9 @@ fn batcher_loop(
                     .and_then(Option::as_mut)
                     // analyze: allow(panic_freedom, reason = "channel FIFO guarantees Register precedes Submit for a handed-out SimId; reachable only via memory corruption")
                     .expect("submit for a backend whose registration never arrived");
+                if r.answer_from_table(bits, tag, &reply, &recorder) {
+                    continue;
+                }
                 if r.vectors.is_empty() {
                     let now = Instant::now();
                     r.opened = Some(now);
@@ -1363,10 +1409,11 @@ fn batcher_loop(
                         drained_lanes: drained_lanes as u32,
                     }));
                 }
-                // Re-materialize under the new epoch before acking, so a
-                // materialized registration never silently degrades
-                // across a swap: Forced always, Auto when the slot had
-                // already proven the table worthwhile.
+                // Re-materialize under the new epoch before acking (the
+                // drain above left the queue empty), so a materialized
+                // registration never silently degrades across a swap:
+                // Forced always, Auto when the slot had already proven
+                // the table worthwhile.
                 if r.tier_eligible
                     && (r.tier_policy == TierPolicy::Forced
                         || (r.tier_policy == TierPolicy::Auto && was_materialized))
@@ -1850,14 +1897,14 @@ mod tests {
             &words_config(2),
             test_slot(128, 3, 2),
         );
-        let (tx, rx) = channel();
+        let (sink, stream) = reply_channel();
         for i in 0..128u64 {
             reg.vectors.push(i % 8); // both 64-lane halves pack identically
-            reg.replies.push((i, tx.clone()));
+            reg.replies.push((i, sink.clone()));
         }
         reg.flush(FlushCause::Full, &cache, &None);
         for _ in 0..128 {
-            let reply = rx.recv().expect("flush scattered every lane");
+            let reply = stream.recv();
             assert_eq!(reply.outputs, cover.eval_bits(reply.tag % 8));
         }
         assert_eq!(
@@ -1886,15 +1933,15 @@ mod tests {
             &words_config(3),
             Arc::clone(&slot),
         );
-        let (tx, rx) = channel();
+        let (sink, stream) = reply_channel();
         for round in 0..2 {
             for i in 0..130u64 {
                 reg.vectors.push(i % 8);
-                reg.replies.push((i, tx.clone()));
+                reg.replies.push((i, sink.clone()));
             }
             reg.flush(FlushCause::Deadline, &cache, &None);
             for _ in 0..130 {
-                let reply = rx.recv().expect("flush scattered every lane");
+                let reply = stream.recv();
                 assert_eq!(
                     reply.outputs,
                     cover.eval_bits(reply.tag % 8),
@@ -1930,15 +1977,15 @@ mod tests {
             &words_config(2),
             test_slot(64 + 128, 3, 2),
         );
-        let (tx, rx) = channel();
+        let (sink, stream) = reply_channel();
         // Warm exactly one sub-block: lanes 0..64 of the wide flush below.
         for i in 0..64u64 {
             reg.vectors.push(i % 8);
-            reg.replies.push((i, tx.clone()));
+            reg.replies.push((i, sink.clone()));
         }
         reg.flush(FlushCause::Deadline, &cache, &None);
         for _ in 0..64 {
-            let reply = rx.recv().expect("warm flush scattered");
+            let reply = stream.recv();
             assert_eq!(reply.outputs, cover.eval_bits(reply.tag % 8));
         }
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
@@ -1946,11 +1993,11 @@ mod tests {
         // is fresh.
         for i in 0..128u64 {
             reg.vectors.push(if i < 64 { i % 8 } else { (i + 3) % 8 });
-            reg.replies.push((i, tx.clone()));
+            reg.replies.push((i, sink.clone()));
         }
         reg.flush(FlushCause::Full, &cache, &None);
         for _ in 0..128 {
-            let reply = rx.recv().expect("wide flush scattered");
+            let reply = stream.recv();
             let bits = if reply.tag < 64 {
                 reply.tag % 8
             } else {
@@ -2328,8 +2375,13 @@ mod tests {
         assert_eq!(service.stats_for(id).tier, Tier::Materialized);
         let snap = service.stats();
         assert_eq!(snap.materialized, 1);
-        assert_eq!(snap.blocks, 3, "materialized flushes still count");
+        // Each table answer is a full one-lane block that waited 0 ns.
+        assert_eq!(snap.blocks, 3 * 64);
+        assert_eq!(snap.full_flushes, 3 * 64);
         assert_eq!(snap.lanes_filled, 3 * 64);
+        assert_eq!(snap.lane_capacity, 3 * 64);
+        assert!((snap.lane_occupancy - 1.0).abs() < 1e-12);
+        assert_eq!(snap.p99_flush_ns, 0, "answered on arrival");
         assert_eq!(
             (snap.cache_hits, snap.cache_misses),
             (0, 0),
@@ -2374,12 +2426,42 @@ mod tests {
         // Round 2 reaches the floor; the flush promotes afterwards.
         fill(2);
         assert_eq!(service.stats_for(id).tier, Tier::Materialized);
-        // Round 3 serves from the table: no new cache traffic.
+        // Round 3 serves from the table, one full one-lane block per
+        // request: no new cache traffic, and occupancy stays exact.
         fill(3);
         let snap = service.stats();
         assert_eq!(snap.materialized, 1);
-        assert_eq!(snap.blocks, 3);
+        assert_eq!(snap.blocks, 2 + 64);
+        assert_eq!(snap.full_flushes, 2 + 64);
+        assert_eq!(snap.lanes_filled, 3 * 64);
+        assert!((snap.lane_occupancy - 1.0).abs() < 1e-12);
         assert_eq!((snap.cache_hits, snap.cache_misses), (1, 1));
+    }
+
+    /// A materialized registration answers each request when it arrives:
+    /// with a 10 s deadline, a lone request that queued for `max_wait`
+    /// would take 10 s.
+    #[test]
+    fn materialized_requests_do_not_wait_for_the_deadline() {
+        let service = SimService::start(ServeConfig {
+            max_wait: Duration::from_secs(10),
+            tier_policy: TierPolicy::Forced,
+            ..ServeConfig::default()
+        })
+        .expect("valid config");
+        let cover = adder();
+        let id = service.register(cover.clone());
+        let started = Instant::now();
+        for bits in 0..8u64 {
+            let reply = service.submit(id, bits).wait_reply();
+            assert_eq!((reply.epoch, reply.outputs), (0, cover.eval_bits(bits)));
+        }
+        assert!(
+            started.elapsed() < Duration::from_millis(500),
+            "answered on arrival, not at the deadline ({:?})",
+            started.elapsed()
+        );
+        assert_eq!(service.stats().deadline_flushes, 0);
     }
 
     #[test]

@@ -218,9 +218,9 @@ mod tests {
         let reg = crate::stats::RegStats::new(3);
         reg.record_request();
         reg.current_epoch()
-            .record_flush(FlushCause::Full, 64, 1, 900, 1, 0);
+            .record_flush(FlushCause::Full, 64, 64, 900, 1, 0);
         let e1 = reg.begin_epoch();
-        e1.record_flush(FlushCause::Deadline, 5, 1, 70_000, 0, 1);
+        e1.record_flush(FlushCause::Deadline, 5, 64, 70_000, 0, 1);
         let snap = reg.snapshot(2);
         let agg = StatsSnapshot::fold(std::slice::from_ref(&snap), 0);
         let text = prometheus_text(&metric_families(&[snap], &agg));

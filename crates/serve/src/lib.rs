@@ -25,16 +25,18 @@
 //!   pinned by [`shard_for_key`] of its [`SimKey`], so the whole
 //!   per-registration contract is shard-local), full-block / deadline
 //!   flushes of up to `block_words × 64` lanes
-//!   through one `eval_words` call on reused buffers, channel-based
-//!   scatter, bounded-queue backpressure
+//!   through one `eval_words` call on reused buffers, scatter to each
+//!   request's [`ReplySink`] (a channel, or any [`ReplyTarget`]),
+//!   bounded-queue backpressure
 //!   ([`SimService::try_submit`] / [`QueueFull`]), typed configuration
 //!   validation ([`ConfigError`]), **epoch-versioned
 //!   hot swaps** ([`SimService::swap_sim`]: drain, install, bump — see
 //!   the [`batcher`] module docs for the full contract), and **tiered
 //!   evaluation** ([`TierPolicy`]): small, hot backends are
 //!   auto-materialized into packed
-//!   [`TruthTable`](ambipla_core::TruthTable)s and served by O(1)
-//!   indexed load (the [`Tier::Materialized`] tier), bit-identically to
+//!   [`TruthTable`](ambipla_core::TruthTable)s and each request is
+//!   answered on arrival by O(1) indexed load (the
+//!   [`Tier::Materialized`] tier), bit-identically to
 //!   the batched path and with the table rebuilt on every swap,
 //! * [`cache`] — the sharded LRU [`BlockCache`] keyed on
 //!   *(caller-supplied stable [`SimKey`], registration epoch, packed
@@ -127,8 +129,8 @@ pub use logic::eval::LANES;
 
 pub use ambipla_core::{cover_hash, Simulator, WorkerPool};
 pub use batcher::{
-    reply_channel, shard_for_key, ConfigError, QueueFull, ReplySink, ReplyStream, ServeConfig,
-    SharedSim, SimId, SimReply, SimService, SimTicket, TierPolicy,
+    reply_channel, shard_for_key, ConfigError, QueueFull, ReplySink, ReplyStream, ReplyTarget,
+    ServeConfig, SharedSim, SimId, SimReply, SimService, SimTicket, TierPolicy,
 };
 pub use cache::{BlockCache, BlockKey, SimKey};
 pub use export::metric_families;

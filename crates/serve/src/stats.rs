@@ -194,15 +194,16 @@ impl EpochStats {
     }
 
     /// Count one flushed block: its cause, how many lanes were occupied,
-    /// how many lane `words` the flush evaluated (so lane occupancy stays
-    /// meaningful for multi-word blocks), the queue latency (first
-    /// enqueue → flush) in ns, and the flush's sub-block cache hit/miss
-    /// burst — cache counters are first-class here, not merged in later.
+    /// its lane `capacity` (`words × 64` for an evaluated block, 1 for a
+    /// truth-table answer, so lane occupancy stays meaningful for both),
+    /// the queue latency (first enqueue → flush) in ns, and the flush's
+    /// sub-block cache hit/miss burst — cache counters are first-class
+    /// here, not merged in later.
     pub fn record_flush(
         &self,
         cause: FlushCause,
         lanes: usize,
-        words: usize,
+        capacity: usize,
         latency_ns: u64,
         cache_hits: usize,
         cache_misses: usize,
@@ -210,7 +211,7 @@ impl EpochStats {
         self.blocks.fetch_add(1, Ordering::Relaxed);
         self.lanes_filled.fetch_add(lanes as u64, Ordering::Relaxed);
         self.lane_capacity
-            .fetch_add((words * crate::LANES) as u64, Ordering::Relaxed);
+            .fetch_add(capacity as u64, Ordering::Relaxed);
         self.cache_hits
             .fetch_add(cache_hits as u64, Ordering::Relaxed);
         self.cache_misses
@@ -510,7 +511,8 @@ pub struct StatsSnapshot {
     /// Total occupied lanes over all flushed blocks.
     pub lanes_filled: u64,
     /// Total lane capacity of all flushed blocks (`Σ words × 64`; partial
-    /// flushes only pay for the lane words they actually evaluate).
+    /// flushes only pay for the lane words they actually evaluate, and a
+    /// truth-table answer is a one-lane block).
     pub lane_capacity: u64,
     /// `lanes_filled / lane_capacity` — mean fraction of useful lanes.
     pub lane_occupancy: f64,
@@ -717,8 +719,8 @@ mod tests {
         reg.record_queue_full();
         reg.record_queue_full();
         let epoch = reg.current_epoch();
-        epoch.record_flush(FlushCause::Full, 64, 1, 2_000, 0, 1);
-        epoch.record_flush(FlushCause::Deadline, 6, 1, 150_000, 1, 0);
+        epoch.record_flush(FlushCause::Full, 64, 64, 2_000, 0, 1);
+        epoch.record_flush(FlushCause::Deadline, 6, 64, 150_000, 1, 0);
         reg.begin_epoch();
         let snap = stats.snapshot(0);
         assert_eq!(snap.requests, 70);
@@ -750,7 +752,7 @@ mod tests {
         // First swap drains a 10-lane partial queue under the outgoing
         // epoch; the second finds the queue empty (no flush recorded).
         reg.current_epoch()
-            .record_flush(FlushCause::Swap, 10, 1, 500, 0, 0);
+            .record_flush(FlushCause::Swap, 10, 64, 500, 0, 0);
         reg.begin_epoch();
         reg.begin_epoch();
         let snap = stats.snapshot(0);
@@ -767,8 +769,8 @@ mod tests {
         let reg = stats.register();
         let epoch = reg.current_epoch();
         // A full 3-word block and a partial 130-lane (3-word) flush.
-        epoch.record_flush(FlushCause::Full, 192, 3, 1_000, 0, 0);
-        epoch.record_flush(FlushCause::Deadline, 130, 3, 1_000, 0, 0);
+        epoch.record_flush(FlushCause::Full, 192, 192, 1_000, 0, 0);
+        epoch.record_flush(FlushCause::Deadline, 130, 192, 1_000, 0, 0);
         let snap = stats.snapshot(0);
         assert_eq!(snap.lanes_filled, 322);
         assert_eq!(snap.lane_capacity, 384);
@@ -779,9 +781,9 @@ mod tests {
     fn per_epoch_counters_stay_segmented() {
         let reg = RegStats::new(4);
         reg.current_epoch()
-            .record_flush(FlushCause::Full, 64, 1, 1_000, 2, 0);
+            .record_flush(FlushCause::Full, 64, 64, 1_000, 2, 0);
         let e1 = reg.begin_epoch();
-        e1.record_flush(FlushCause::Deadline, 10, 1, 9_000, 0, 3);
+        e1.record_flush(FlushCause::Deadline, 10, 64, 9_000, 0, 3);
         let snap = reg.snapshot(7);
         assert_eq!(snap.slot, 4);
         assert_eq!(snap.queue_depth, 7);
@@ -805,9 +807,9 @@ mod tests {
         a.record_request();
         b.record_request();
         a.current_epoch()
-            .record_flush(FlushCause::Full, 64, 1, 1_000, 1, 1);
+            .record_flush(FlushCause::Full, 64, 64, 1_000, 1, 1);
         b.current_epoch()
-            .record_flush(FlushCause::Deadline, 32, 1, 64_000, 0, 2);
+            .record_flush(FlushCause::Deadline, 32, 64, 64_000, 0, 2);
         let folded = stats.snapshot(5);
         assert_eq!(folded.requests, 3);
         assert_eq!(folded.blocks, 2);

@@ -48,9 +48,9 @@ use ambipla::serve::{reply_channel, ServeConfig, SharedSim, SimKey, SimService};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The harness's specification: the 3-input full adder (sum, carry).
 fn spec() -> Cover {
@@ -69,6 +69,21 @@ fn chaos_iters() -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(60)
+}
+
+/// Spin until `ready()` holds. A mutator uses it to wait for its clients'
+/// traffic to reach the point an assertion depends on, instead of
+/// racing them. After a minute it stops the clients and fails, so a dead
+/// client fails the test instead of hanging it.
+fn await_clients(running: &AtomicBool, what: &str, ready: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !ready() {
+        if Instant::now() > deadline {
+            running.store(false, Ordering::Relaxed);
+            panic!("timed out waiting until {what}");
+        }
+        std::thread::yield_now();
+    }
 }
 
 /// A pass-through backend that counts how many lane words it actually
@@ -201,6 +216,10 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
     let fid = service.register_sim(initial, SimKey::new(0xfad));
 
     let running = AtomicBool::new(true);
+    // Replies the clients received, and the newest epoch among them: the
+    // mutator's handshakes (see below) read them.
+    let replies = AtomicU64::new(0);
+    let newest_epoch = AtomicU64::new(0);
     let mut swap_log = Vec::new();
     let (client_submitted, epochs_seen) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
@@ -208,6 +227,7 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
                 let service = &service;
                 let oracle = &oracle;
                 let running = &running;
+                let (replies, newest_epoch) = (&replies, &newest_epoch);
                 s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(0xabad1dea ^ c);
                     let (sink, stream) = reply_channel();
@@ -232,6 +252,8 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
                                 reply.epoch
                             );
                             epochs.insert(reply.epoch);
+                            newest_epoch.fetch_max(reply.epoch, Ordering::Relaxed);
+                            replies.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                     (submitted, epochs)
@@ -241,7 +263,15 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
 
         // The mutator: push each generation into the oracle *before* its
         // swap lands, so a concurrent client can always resolve whatever
-        // epoch its reply names.
+        // epoch its reply names. It starts once a client was answered
+        // under epoch 0, and stops the clients once one was answered
+        // under the final epoch, so traffic straddles every swap however
+        // the threads are scheduled.
+        // Relaxed loads (here and below): statistics polled in a
+        // handshake; the thread joins publish everything else.
+        await_clients(&running, "a client is answered", || {
+            replies.load(Ordering::Relaxed) > 0
+        });
         for k in 1..=swaps {
             let candidate = swap_candidate(k, &spec, &base_faulty);
             let promised = oracle.push(Arc::clone(&candidate));
@@ -250,6 +280,11 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
             assert_eq!(installed, k, "epochs count completed swaps");
             swap_log.push(installed);
         }
+        await_clients(
+            &running,
+            "a client is answered under the final epoch",
+            || newest_epoch.load(Ordering::Relaxed) == swaps,
+        );
         running.store(false, Ordering::Relaxed);
 
         let mut total = 0u64;
@@ -686,6 +721,9 @@ fn chaos_over_tcp_two_tenants_two_shards_stays_epoch_consistent() {
 
     let addr = server.local_addr();
     let running = AtomicBool::new(true);
+    // Per tenant: replies received, and the newest epoch among them.
+    let replies: [AtomicU64; TENANTS as usize] = Default::default();
+    let newest_epoch: [AtomicU64; TENANTS as usize] = Default::default();
     let mut swap_log: Vec<(u64, u64)> = Vec::new(); // (registration index, epoch)
     let per_tenant_submitted = std::thread::scope(|s| {
         let handles: Vec<_> = (0..TENANTS)
@@ -693,6 +731,8 @@ fn chaos_over_tcp_two_tenants_two_shards_stays_epoch_consistent() {
                 let oracle_a = &oracle_a;
                 let oracle_b = &oracle_b;
                 let running = &running;
+                let replies = &replies[t as usize];
+                let newest_epoch = &newest_epoch[t as usize];
                 s.spawn(move || {
                     let mut client =
                         NetClient::connect(addr, TenantId::new(t)).expect("connect tenant");
@@ -726,6 +766,8 @@ fn chaos_over_tcp_two_tenants_two_shards_stays_epoch_consistent() {
                                          not match the truth of epoch {epoch}"
                                     );
                                     epochs.insert(epoch);
+                                    newest_epoch.fetch_max(epoch, Ordering::Relaxed);
+                                    replies.fetch_add(1, Ordering::Relaxed);
                                 }
                                 other => panic!("tenant {t}: unexpected frame {other:?}"),
                             }
@@ -741,7 +783,14 @@ fn chaos_over_tcp_two_tenants_two_shards_stays_epoch_consistent() {
             .collect();
 
         // The mutator alternates between the two registrations, pushing
-        // each generation into its oracle before the swap lands.
+        // each generation into its oracle before the swap lands. Every
+        // tenant is answered under epoch 0 before the first swap and
+        // under a later epoch before the tenants stop, so each sees a
+        // swap straddle its traffic however the threads are scheduled.
+        // Relaxed loads: statistics polled in a handshake.
+        await_clients(&running, "every tenant is answered", || {
+            replies.iter().all(|r| r.load(Ordering::Relaxed) > 0)
+        });
         for k in 1..=swaps {
             let candidate = swap_candidate(k, &spec, &base_faulty);
             let (idx, id, oracle) = if k % 2 == 0 {
@@ -754,6 +803,9 @@ fn chaos_over_tcp_two_tenants_two_shards_stays_epoch_consistent() {
             assert_eq!(installed, promised, "oracle and service disagree on epochs");
             swap_log.push((idx, installed));
         }
+        await_clients(&running, "every tenant is answered after a swap", || {
+            newest_epoch.iter().all(|e| e.load(Ordering::Relaxed) > 0)
+        });
         running.store(false, Ordering::Relaxed);
         handles
             .into_iter()

@@ -22,7 +22,7 @@ enum Op {
     Flush {
         cause: FlushCause,
         lanes: usize,
-        words: usize,
+        capacity: usize,
         latency_ns: u64,
         cache_hits: usize,
         cache_misses: usize,
@@ -46,16 +46,16 @@ fn arb_op() -> impl Strategy<Value = Op> {
         3 => (
             arb_cause(),
             1..257usize,
-            1..5usize,
+            1..257usize,
             0..5_000_000u64,
             0..8usize,
             0..8usize,
         )
-            .prop_map(|(cause, lanes, words, latency_ns, cache_hits, cache_misses)| {
+            .prop_map(|(cause, lanes, capacity, latency_ns, cache_hits, cache_misses)| {
                 Op::Flush {
                     cause,
                     lanes,
-                    words,
+                    capacity,
                     latency_ns,
                     cache_hits,
                     cache_misses,
@@ -107,9 +107,9 @@ proptest! {
                         reg.begin_epoch();
                         tally.swaps += 1;
                     }
-                    Op::Flush { cause, lanes, words, latency_ns, cache_hits, cache_misses } => {
+                    Op::Flush { cause, lanes, capacity, latency_ns, cache_hits, cache_misses } => {
                         reg.current_epoch()
-                            .record_flush(cause, lanes, words, latency_ns, cache_hits, cache_misses);
+                            .record_flush(cause, lanes, capacity, latency_ns, cache_hits, cache_misses);
                         tally.blocks += 1;
                         tally.by_cause[match cause {
                             FlushCause::Full => 0,
@@ -118,7 +118,7 @@ proptest! {
                             FlushCause::Shutdown => 3,
                         }] += 1;
                         tally.lanes_filled += lanes as u64;
-                        tally.lane_capacity += words as u64 * 64;
+                        tally.lane_capacity += capacity as u64;
                         tally.cache_hits += cache_hits as u64;
                         tally.cache_misses += cache_misses as u64;
                         tally.latencies.push(latency_ns);
