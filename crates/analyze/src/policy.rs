@@ -133,12 +133,6 @@ pub const ATOMIC_POLICIES: &[AtomicPolicy] = &[
         reason: "metrics counters only; readers tolerate stale or torn snapshots",
     },
     AtomicPolicy {
-        path_suffix: "crates/serve/src/cache.rs",
-        field: "*",
-        orderings: &["Relaxed"],
-        reason: "hit/miss/eviction counters; no cross-field ordering requirement",
-    },
-    AtomicPolicy {
         path_suffix: "crates/serve/src/batcher.rs",
         field: "pending",
         orderings: &["Relaxed"],

@@ -403,9 +403,8 @@ fn main() {
     // +64 lanes past the floor so the promoting flush is strictly before
     // the last one — the tier read below is then race-free.
     let floor = ServeConfig::default().tier_min_requests + 64;
-    // Unique sub-block patterns per phase: bits 12..24 of a golden-ratio
-    // walk never repeat a 64-lane pattern within the demo's horizon, so
-    // the batched ramp cannot hide behind the block cache.
+    // A golden-ratio walk over the 12-bit input space, so the batched
+    // ramp evaluates a spread of patterns rather than one repeated block.
     let bits_of = |i: u64| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 12) & input_mask(12);
     // Verification oracle: an independently built table for the bulk of
     // the replies (O(1) per check, so it stays out of the measurement's

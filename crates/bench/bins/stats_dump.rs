@@ -14,13 +14,13 @@
 //! output, so CI can pipe it straight into a validator. The workload
 //! guarantees the properties the smoke step greps for: at least three
 //! registrations, at least one registration with three epochs (two hot
-//! swaps), cache traffic, a rejected submission (queue-full), one
+//! swaps), a rejected submission (queue-full), one
 //! registration driven past the default auto-tiering threshold (so the
 //! `ambipla_tier` family carries both a `tier="batched"` and a
 //! `tier="materialized"` sample), and — via
 //! a loopback [`NetServer`] workload — tenant-labeled front-end
 //! families with a non-zero quota rejection. The scrape concatenates
-//! `SimService::metric_families` (13 families) with
+//! `SimService::metric_families` (10 families) with
 //! `NetServer::metric_families` (7 tenant-labeled families).
 
 use ambipla_core::GnorPla;
@@ -44,8 +44,7 @@ fn workload(service: &SimService) {
     let b = service.register(adder.clone());
     let c = service.register_sim(Arc::new(GnorPla::from_cover(&majority)), SimKey::new(99));
 
-    // Traffic over all three registrations; the repeated vectors give the
-    // block cache hits as well as misses.
+    // Traffic over all three registrations.
     for round in 0..4u64 {
         let tickets: Vec<_> = (0..64u64)
             .flat_map(|i| {

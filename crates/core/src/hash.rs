@@ -1,8 +1,9 @@
 //! Stable structural hashing of covers.
 //!
-//! The request-batching simulation service (`ambipla_serve`) caches block
-//! evaluation results keyed on *(cover hash, input block)*, so it needs a
-//! hash of a [`Cover`] that is
+//! The request-batching simulation service (`ambipla_serve`) derives a
+//! registration's default key from its cover (`SimKey::of_cover`); the key
+//! pins the registration to a batcher shard and names it on the wire. So
+//! it needs a hash of a [`Cover`] that is
 //!
 //! * **stable across runs, platforms and compiler versions** — unlike
 //!   `std::collections::hash_map::DefaultHasher`, whose output is
@@ -13,8 +14,8 @@
 //! [`cover_hash`] is 64-bit FNV-1a over the arity and the canonical
 //! PLA-style text of every cube. It is *not* a semantic hash: two
 //! different cube lists implementing the same Boolean function hash
-//! differently, which is exactly what a result cache wants (the cache key
-//! must identify the registered object, not the function class).
+//! differently, which is what a registration key wants (it must identify
+//! the registered object, not the function class).
 
 use logic::Cover;
 
@@ -25,7 +26,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Absorb `bytes` into a 64-bit FNV-1a state, returning the new state.
 /// Start from [`FNV_OFFSET`]; chain calls to hash composite keys. Shared
-/// by [`cover_hash`] and the `ambipla_serve` cache's shard selector so
+/// by [`cover_hash`] and `ambipla_serve`'s batcher shard selector so
 /// the workspace has exactly one copy of the FNV constants.
 pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -73,8 +74,8 @@ mod tests {
     #[test]
     fn hash_is_a_fixed_golden_value() {
         // Guards the "stable across runs / platforms" contract: if the
-        // hashing scheme ever changes, persisted cache keys would silently
-        // stop matching — fail loudly here instead.
+        // hashing scheme ever changes, cover-derived keys (and the shards
+        // they pick) would silently move — fail loudly here instead.
         let f = Cover::parse("10 1\n01 1", 2, 1).expect("valid cover");
         assert_eq!(cover_hash(&f), 0x6d20_aafc_aef3_dc98);
     }

@@ -34,10 +34,11 @@
 //!   exhaustively once into packed words, then served (and compared) by
 //!   O(1) indexed load — the backing store of `ambipla_serve`'s
 //!   materialized tier,
-//! * [`hash`] — stable structural cover hashing (cache keys for the
-//!   `ambipla_serve` result cache),
-//! * [`pool`] — the deterministic [`std::thread::scope`] worker pool behind
-//!   parallel Monte-Carlo and multi-cover sweeps,
+//! * [`hash`] — stable structural cover hashing (the default `SimKey`
+//!   of an `ambipla_serve` registration),
+//! * [`pool`] — the deterministic [`std::thread::scope`] worker pool
+//!   behind parallel Monte-Carlo and multi-cover sweeps ([`WorkerPool`],
+//!   which is `logic::par::Pool` re-exported),
 //! * [`area`] — the Table 1 area model (Flash / EEPROM / ambipolar CNFET),
 //! * [`crossbar`] — the pass-transistor interconnect array of Section 4,
 //! * [`timing`] — dynamic-logic cycle-time estimation on top of the device
@@ -58,7 +59,45 @@ pub mod hash;
 pub mod layout;
 pub mod pla;
 pub mod plane;
-pub mod pool;
+
+/// The deterministic worker pool behind `fault::yield_analysis` and the
+/// `ambipla_serve` sweeps. The implementation is [`logic::par::Pool`], at
+/// the bottom of the dependency graph; this module keeps it under core's
+/// name and path.
+pub mod pool {
+    pub use logic::par::Pool as WorkerPool;
+
+    #[cfg(test)]
+    mod tests {
+        use super::WorkerPool;
+
+        #[test]
+        fn map_range_matches_sequential_loop() {
+            // Index-seeded "Monte-Carlo" shape: result depends only on the
+            // global index, so any sharding must be bit-identical.
+            let f = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 3;
+            let expected: Vec<u64> = (0..1000).map(f).collect();
+            for threads in [1, 2, 5, 13] {
+                assert_eq!(WorkerPool::new(threads).map_range(1000, f), expected);
+            }
+        }
+
+        #[test]
+        fn empty_and_tiny_inputs_are_fine() {
+            let pool = WorkerPool::new(8);
+            assert_eq!(pool.map(&[] as &[u8], |_, &x| x), Vec::<u8>::new());
+            assert_eq!(pool.map_range(0, |i| i), Vec::<usize>::new());
+            assert_eq!(pool.map(&[9u8], |i, &x| (i, x)), vec![(0, 9)]);
+        }
+
+        #[test]
+        #[should_panic(expected = "at least one thread")]
+        fn zero_threads_is_rejected() {
+            WorkerPool::new(0);
+        }
+    }
+}
+
 pub mod sim;
 pub mod table;
 pub mod timing;

@@ -16,7 +16,7 @@
 //!   array's regularity (any cube can live on any row),
 //! * [`yield_analysis`] — Monte-Carlo yield curves with and without
 //!   repair, sequential or sharded bit-identically across a deterministic
-//!   worker pool (`ambipla_core::pool`).
+//!   worker pool (`ambipla_core::WorkerPool`).
 
 pub mod bist;
 pub mod column_repair;

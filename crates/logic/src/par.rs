@@ -1,17 +1,21 @@
-//! Deterministic scoped-thread parallelism for the minimization kernels.
+//! Deterministic scoped-thread worker pool — the workspace's only one.
 //!
-//! The `logic` crate sits at the bottom of the workspace dependency graph,
-//! below `ambipla_core`, so it cannot use `ambipla_core::pool::WorkerPool`
-//! directly. This module carries a minimal pool with the **same
-//! bit-identical contract**: `pool.map_range(n, f)` returns exactly what
-//! the sequential `(0..n).map(f)` loop returns, in the same order, for any
+//! The build environment has no rayon (no crates.io access), so parallel
+//! sections run on a tiny [`std::thread::scope`]-based pool instead. The
+//! design constraint, inherited by every caller, is **bit-for-bit
+//! determinism**: `pool.map_range(n, f)` returns exactly what the
+//! sequential `(0..n).map(f)` loop returns, in the same order, for any
 //! thread count — items are split into contiguous index ranges, each
-//! worker computes its range independently, and results are reassembled in
-//! range order. Threads only change wall-clock time, never results.
+//! worker computes its range independently (`f` receives the *global*
+//! index, so seed-stream splitting is just "derive the seed from the
+//! index"), and results are reassembled in range order. Threads only
+//! change wall-clock time, never results.
 //!
-//! Used by [`mod@crate::espresso`] to shard the per-output OFF-set
-//! complements and the per-cube EXPAND step, both of which are
-//! embarrassingly parallel.
+//! `logic` sits at the bottom of the workspace dependency graph, so the
+//! pool lives here; `ambipla_core` re-exports it as `WorkerPool`. Used by
+//! [`mod@crate::espresso`] to shard the per-output OFF-set complements and
+//! the per-cube EXPAND step, by `fault::yield_analysis` to shard
+//! Monte-Carlo trials, and by `ambipla_serve` to shard bulk sweeps.
 
 use std::num::NonZeroUsize;
 
@@ -47,6 +51,21 @@ impl Pool {
     /// Worker count per parallel section.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Apply `f` to every item, in parallel, returning results in item
+    /// order. `f` gets the item's global index alongside the item, so
+    /// index-derived seeding is identical no matter how items are sharded.
+    ///
+    /// Equivalent to `items.iter().enumerate().map(|(i, t)| f(i, t))` —
+    /// including on panic: a panicking worker propagates the panic.
+    pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
+    where
+        T: Sync,
+        U: Send,
+        F: Fn(usize, &T) -> U + Sync,
+    {
+        self.map_range(items.len(), |i| f(i, &items[i]))
     }
 
     /// Apply `f` to every index in `0..n`, in parallel, returning results
@@ -106,11 +125,46 @@ mod tests {
         let pool = Pool::new(8);
         assert_eq!(pool.map_range(0, |i| i), Vec::<usize>::new());
         assert_eq!(pool.map_range(1, |i| i * 2), vec![0]);
+        assert_eq!(pool.map(&[] as &[u8], |_, &x| x), Vec::<u8>::new());
+        assert_eq!(pool.map(&[9u8], |i, &x| (i, x)), vec![(0, 9)]);
     }
 
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_is_rejected() {
         Pool::new(0);
+    }
+
+    #[test]
+    fn map_preserves_item_order_for_any_thread_count() {
+        let items: Vec<u64> = (0..257).collect();
+        let expected: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
+        for threads in [1, 2, 3, 4, 7, 16, 300] {
+            assert_eq!(
+                Pool::new(threads).map(&items, |_, &x| x * x + 1),
+                expected,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn map_hands_out_global_indices() {
+        let items = vec![(); 100];
+        for threads in [1, 3, 8] {
+            let idx = Pool::new(threads).map(&items, |i, ()| i);
+            assert_eq!(idx, (0..100).collect::<Vec<_>>(), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn worker_panic_propagates() {
+        let result = std::panic::catch_unwind(|| {
+            Pool::new(4).map_range(64, |i| {
+                assert!(i != 40, "injected failure");
+                i
+            })
+        });
+        assert!(result.is_err());
     }
 }

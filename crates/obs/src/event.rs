@@ -3,9 +3,8 @@
 //! Events are small `Copy` records — fixed-size by construction so the
 //! [`EventRing`](crate::EventRing) can store them inline without
 //! allocation. The vocabulary covers the serve layer's state transitions
-//! (registrations, epoch-bumping hot swaps, block flushes with their
-//! cache hit/miss burst, backpressure rejections, truth-table tier
-//! promotions) and the net front
+//! (registrations, epoch-bumping hot swaps, block flushes, backpressure
+//! rejections, truth-table tier promotions) and the net front
 //! end's connection lifecycle (accepts, disconnects, tenant quota
 //! rejections); producers stamp each
 //! event with [`monotonic_ns`] **at the record site**, and only when a
@@ -94,8 +93,7 @@ pub enum EventKind {
         /// the queue was empty when the swap landed).
         drained_lanes: u32,
     },
-    /// A block flush on `slot` under `epoch`, with its cache hit/miss
-    /// burst (per 64-lane sub-block lookups of this one flush).
+    /// A block flush on `slot` under `epoch`.
     Flush {
         /// Registration slot index.
         slot: u32,
@@ -109,10 +107,6 @@ pub enum EventKind {
         words: u32,
         /// Queue latency (first enqueue → flush) in ns.
         latency_ns: u64,
-        /// Sub-block cache hits of this flush.
-        cache_hits: u32,
-        /// Sub-block cache misses of this flush.
-        cache_misses: u32,
     },
     /// A bounded submission was rejected by backpressure.
     QueueFull {

@@ -25,16 +25,11 @@
 //! and are **reused across flushes** — the flush path performs no
 //! per-block `Vec` allocation beyond the reply payloads themselves.
 //!
-//! Before evaluating, the batcher consults the [`BlockCache`] **per
-//! 64-lane sub-block**, keyed on *(the registration's [`SimKey`], its
-//! current epoch, that sub-block's packed words)* — exactly the keys a
-//! `block_words = 1` service would use, so warm-path hit semantics are
-//! independent of the configured width. Sub-blocks that hit are copied
-//! from the cache; the misses are gathered into one narrower block and
-//! evaluated with a single `eval_words` call. Results are scattered back
-//! to each request's [`ReplySink`]: a per-request ticket channel, a
-//! shared reply channel, or any [`ReplyTarget`] a front end supplies
-//! (the network server delivers straight into a connection's outbox).
+//! A flush is pack → **one** `eval_words` call over the whole block →
+//! scatter. Results are scattered back to each request's [`ReplySink`]:
+//! a per-request ticket channel, a shared reply channel, or any
+//! [`ReplyTarget`] a front end supplies (the network server delivers
+//! straight into a connection's outbox).
 //! Backpressure is opt-in per submission: [`SimService::try_submit`]
 //! refuses with [`QueueFull`] once a simulator's pending queue reaches
 //! `ServeConfig::queue_depth`, while the plain `submit` paths stay
@@ -60,12 +55,9 @@
 //!   falls under — "some single epoch", never a mixture).
 //! * **Zero dropped requests.** A swap never sheds queued work; the drain
 //!   flush answers every ticket exactly as a deadline flush would.
-//! * **Exact cache invalidation.** The epoch is part of every
-//!   [`BlockKey`], so the swapped registration's cached blocks from
-//!   superseded epochs become unreachable at the bump, while *other*
-//!   registrations' entries (and the new epoch's own entries, as they
-//!   fill) keep their warm hit rate. Nothing is scanned or purged
-//!   eagerly; stale entries age out through LRU eviction.
+//! * **The superseded backend is never evaluated again.** Only the
+//!   installed backend is ever evaluated, and a swap touches no other
+//!   registration.
 //! * **Arity is fixed per registration.** The replacement backend must
 //!   match the registered `n_inputs`/`n_outputs` (checked before the swap
 //!   is sent), so in-flight requests remain well-formed across the bump.
@@ -82,19 +74,21 @@
 //! [`TruthTable`] than from any batched evaluation: one exhaustive sweep
 //! materializes all `2^n` answers into packed words, and every later
 //! request is answered **on arrival** by indexed load — no wait for
-//! `max_wait`, no packing, no cache lookups, no backend call. Each
+//! `max_wait`, no packing, no backend call. Each
 //! registration therefore carries a **tier** ([`Tier::Batched`] or
 //! [`Tier::Materialized`]) governed by [`ServeConfig::tier_policy`]:
 //!
 //! * [`TierPolicy::Auto`] (default) promotes a registration once its
 //!   observed evaluation spend provably exceeds the one-time sweep cost.
 //!   With per-lane backend cost `c`, the traffic so far has cost
-//!   `c × eval_lanes` (lanes the backend actually evaluated, cache
-//!   misses included) and the sweep costs `c × 2^n`, so "measured eval
+//!   `c × eval_lanes` (lanes the backend actually evaluated, `words × 64`
+//!   per flush) and the sweep costs `c × 2^n`, so "measured eval
 //!   cost × traffic ≥ materialization cost" reduces exactly to the lane
 //!   count `eval_lanes ≥ 2^n` — no timing on the hot path. The
 //!   [`ServeConfig::tier_min_requests`] floor keeps one-shot
-//!   registrations batched.
+//!   registrations batched. Only traffic flushes (`Full`, `Deadline`)
+//!   can promote: a swap or shutdown drain ends the backend's service,
+//!   so a table built then would never answer a request.
 //! * [`TierPolicy::Forced`] materializes every eligible registration at
 //!   registration time (and re-materializes on every swap).
 //! * [`TierPolicy::Disabled`] never materializes.
@@ -106,26 +100,25 @@
 //! [`ServeConfig::validate`].
 //!
 //! The tier preserves every contract above. A table answer is accounted
-//! as a full one-lane block that waited 0 ns with zero cache traffic
-//! (one [`EventKind::Flush`] with `lanes: 1, words: 0`), and it leaves
-//! the pending gauge before its reply is delivered, so lane occupancy
-//! and the flush-event lane total mean what they mean for batched
-//! blocks. A materialized registration never holds a queue: promotion
-//! (after a flush), re-materialization (after a swap's drain) and Forced
-//! registration all happen while its queue is empty, so each request is
-//! answered under the epoch current when it arrives. A hot swap **drops
-//! the stale table, then re-materializes under the new epoch** before
-//! `swap_sim` returns (Auto re-materializes if the slot was
-//! materialized; Forced always), so a materialized registration is
-//! bit-identical to a batched one across its whole epoch history.
-//! Promotions are announced via [`EventKind::TierPromote`] and visible
-//! as [`RegSnapshot::tier`] / the `ambipla_tier` metric family.
+//! as a full one-lane block that waited 0 ns (one [`EventKind::Flush`]
+//! with `lanes: 1, words: 0`), and it leaves the pending gauge before its
+//! reply is delivered, so lane occupancy and the flush-event lane total
+//! mean what they mean for batched blocks. A materialized registration
+//! never holds a queue: promotion (after a full or deadline flush),
+//! re-materialization (after a swap's drain) and Forced registration all
+//! happen while its queue is empty, so each request is answered under the
+//! epoch current when it arrives. A hot swap **drops the stale table,
+//! then re-materializes under the new epoch** before `swap_sim` returns
+//! (Auto re-materializes if the slot was materialized; Forced always), so
+//! a materialized registration is bit-identical to a batched one across
+//! its whole epoch history. Promotions are announced via
+//! [`EventKind::TierPromote`] and visible as [`RegSnapshot::tier`] / the
+//! `ambipla_tier` metric family.
 
-use crate::cache::{BlockCache, BlockKey, SimKey};
 use crate::stats::{
     EpochStats, FlushCause, RegSnapshot, RegStats, ServiceStats, StatsSnapshot, Tier,
 };
-use ambipla_core::{table_bytes, TruthTable};
+use ambipla_core::{cover_hash, table_bytes, TruthTable};
 use ambipla_obs::{Event, EventKind, MetricFamily, Recorder};
 use logic::eval::{pack_vectors_words, unpack_lane_words, LANES};
 use logic::Cover;
@@ -150,10 +143,10 @@ pub struct ServeConfig {
     /// Longest a queued request may wait before its partial block is
     /// flushed anyway.
     pub max_wait: Duration,
-    /// Result-cache capacity in blocks; 0 disables caching.
+    /// Inert: accepted and ignored. The service keeps no result cache;
+    /// the field stays so existing configurations still compile.
+    /// Default 0.
     pub cache_capacity: usize,
-    /// Number of independently locked cache shards.
-    pub cache_shards: usize,
     /// Pending-request bound per registered simulator enforced by
     /// [`SimService::try_submit`] /
     /// [`SimService::try_submit_tagged`] (the unbounded `submit` /
@@ -162,18 +155,15 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Lane words per flushed block: a full flush packs
     /// `block_words × 64` queued requests into **one** backend
-    /// `eval_words` call. Cache entries stay keyed per 64-lane sub-block,
-    /// so changing the width never changes warm-path hit semantics.
-    /// Default 1 (the classic 64-lane block).
+    /// `eval_words` call. Default 1 (the classic 64-lane block).
     pub block_words: usize,
     /// Number of batcher threads. Each registration is pinned to the
     /// shard [`shard_for_key`] derives from its [`SimKey`] at
     /// [`SimService::register_sim`] time, so one shard owns a
     /// registration's whole lifetime — its queue, flushes, swaps and
     /// epoch sequence — and the single-shard ordering/epoch contract
-    /// holds per registration unchanged. The [`BlockCache`] stays shared
-    /// across shards (it is already internally sharded and
-    /// concurrency-safe). Default 1 (the classic single batcher thread).
+    /// holds per registration unchanged. Default 1 (the classic single
+    /// batcher thread).
     pub shards: usize,
     /// When (if ever) registrations are promoted to the materialized
     /// truth-table tier — see the [module docs](self) on tiered
@@ -199,8 +189,7 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             max_wait: Duration::from_micros(200),
-            cache_capacity: 4096,
-            cache_shards: 8,
+            cache_capacity: 0,
             queue_depth: 256,
             block_words: 1,
             shards: 1,
@@ -235,8 +224,8 @@ impl ServeConfig {
     /// [`SimService::start`] refuses them with the matching
     /// [`ConfigError`] instead of panicking mid-flight or misbehaving
     /// silently (a `queue_depth` of 0 would make every `try_submit`
-    /// rejection-only; `block_words` / `shards` / `cache_shards` of 0
-    /// have no meaningful interpretation), and refuses contradictory
+    /// rejection-only; `block_words` / `shards` of 0 have no meaningful
+    /// interpretation), and refuses contradictory
     /// tiering knobs: with the policy enabled, `tier_max_inputs` must
     /// stay below 64 (table indices are `u64` assignments) and
     /// `tier_max_table_bytes` must afford at least a one-output table at
@@ -250,9 +239,6 @@ impl ServeConfig {
         }
         if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
-        }
-        if self.cache_shards == 0 {
-            return Err(ConfigError::ZeroCacheShards);
         }
         if self.tier_policy != TierPolicy::Disabled {
             if self.tier_max_inputs >= 64 {
@@ -275,9 +261,6 @@ pub enum ConfigError {
     ZeroBlockWords,
     /// `shards == 0`: there would be no batcher thread to serve requests.
     ZeroShards,
-    /// `cache_shards == 0`: the result cache needs at least one shard
-    /// (use `cache_capacity == 0` to disable caching).
-    ZeroCacheShards,
     /// `tier_max_inputs >= 64` with the tier policy enabled: a `2^n`
     /// table index must fit a packed `u64` assignment.
     TierInputsTooWide,
@@ -295,10 +278,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroQueueDepth => write!(f, "queue_depth must be at least 1"),
             ConfigError::ZeroBlockWords => write!(f, "block_words must be at least 1"),
             ConfigError::ZeroShards => write!(f, "shards must be at least 1"),
-            ConfigError::ZeroCacheShards => write!(
-                f,
-                "cache_shards must be at least 1 (cache_capacity 0 disables caching)"
-            ),
             ConfigError::TierInputsTooWide => write!(
                 f,
                 "tier_max_inputs must stay below 64 while the tier policy is enabled"
@@ -313,6 +292,47 @@ impl fmt::Display for ConfigError {
 }
 
 impl Error for ConfigError {}
+
+/// Caller-supplied stable identity of a registered simulator. It has two
+/// jobs:
+///
+/// * **routing** — a network front end names registrations on the wire
+///   by key (`NetServer::expose` in `ambipla_net` maps each exposed key
+///   to its [`SimId`]), so two registrations exposed on one server need
+///   distinct keys;
+/// * **placement** — [`shard_for_key`] pins a registration to a batcher
+///   shard by its key, so a caller-stable key gives a stable shard.
+///
+/// The key is not an identity of the *function*: a hot swap
+/// ([`SimService::swap_sim`]) replaces the backend behind a registration
+/// and keeps its key (and therefore its shard); the registration's epoch
+/// names the backend generation.
+///
+/// [`SimKey::of_cover`] derives a key from a cover's stable structural
+/// hash ([`ambipla_core::cover_hash`]); for derived backends, mix the
+/// underlying cover's key with a stable encoding of whatever was changed
+/// (defect coordinates, mapping parameters, …) via
+/// [`ambipla_core::hash::fnv1a`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SimKey(u64);
+
+impl SimKey {
+    /// Wrap a caller-chosen 64-bit key.
+    pub const fn new(raw: u64) -> SimKey {
+        SimKey(raw)
+    }
+
+    /// The canonical key of a plain cover backend: its stable structural
+    /// hash ([`ambipla_core::cover_hash`]).
+    pub fn of_cover(cover: &Cover) -> SimKey {
+        SimKey(cover_hash(cover))
+    }
+
+    /// The raw 64-bit key.
+    pub const fn raw(self) -> u64 {
+        self.0
+    }
+}
 
 /// The shard a [`SimKey`] is assigned to on a service with `shards`
 /// batcher threads: an FNV-1a hash of the key's raw bits, reduced modulo
@@ -502,7 +522,6 @@ enum Msg {
         // channel in a different order than their fetch_adds.
         id: usize,
         sim: SharedSim,
-        key: SimKey,
         // Shared with the handle (see SimService::slots).
         slot: Arc<SlotState>,
     },
@@ -540,7 +559,6 @@ pub struct SimService {
     /// The batcher shards, in shard-index order (at least one).
     shards: Vec<ShardHandle>,
     stats: Arc<ServiceStats>,
-    cache: Arc<BlockCache>,
     /// Per-slot shared state (owning shard, pending counter, epoch,
     /// fixed arity), indexed by `SimId::slot`.
     slots: RwLock<Vec<Arc<SlotState>>>,
@@ -591,15 +609,13 @@ impl SimService {
     ) -> Result<SimService, ConfigError> {
         config.validate()?;
         let stats = Arc::new(ServiceStats::default());
-        let cache = Arc::new(BlockCache::new(config.cache_capacity, config.cache_shards));
         let shards = (0..config.shards)
             .map(|s| {
                 let (tx, rx) = channel();
-                let cache = Arc::clone(&cache);
                 let recorder = recorder.clone();
                 let worker = std::thread::Builder::new()
                     .name(format!("ambipla-batcher-{s}"))
-                    .spawn(move || batcher_loop(rx, config, &cache, recorder))
+                    .spawn(move || batcher_loop(rx, config, recorder))
                     .expect("spawn batcher thread");
                 ShardHandle {
                     tx,
@@ -610,7 +626,6 @@ impl SimService {
         Ok(SimService {
             shards,
             stats,
-            cache,
             slots: RwLock::new(Vec::new()),
             queue_depth: config.queue_depth,
             recorder,
@@ -627,12 +642,11 @@ impl SimService {
     /// Register a simulation backend under a caller-supplied [`SimKey`];
     /// requests are queued and lane-packed per registration.
     ///
-    /// The key is the backend's identity in the shared result cache — see
-    /// [`SimKey`] for the stability and injectivity obligations. Distinct
+    /// The key picks the batcher shard ([`shard_for_key`]) and is how a
+    /// front end names the registration — see [`SimKey`]. Distinct
     /// backend *types* coexist freely: a cover, the `GnorPla` mapped from
     /// it and its `FaultyGnorPla` twin can all be registered on one
-    /// service (under distinct keys) and are batched, cached and
-    /// scattered independently.
+    /// service and are batched and scattered independently.
     ///
     /// # Panics
     ///
@@ -664,7 +678,7 @@ impl SimService {
         };
         self.shards[shard]
             .tx
-            .send(Msg::Register { id, sim, key, slot })
+            .send(Msg::Register { id, sim, slot })
             .expect("batcher thread alive");
         SimId {
             slot: id,
@@ -677,14 +691,14 @@ impl SimService {
     /// the outgoing backend, install `sim`, and bump the slot's epoch.
     /// Blocks until the batcher has completed the drain + install and
     /// returns the **new epoch**; after return, every later submission is
-    /// served by `sim` and cached under the new epoch's keys. See the
-    /// [module docs](self) for the full epoch contract (zero dropped
-    /// requests, no torn blocks, exact cache invalidation).
+    /// served by `sim`. See the [module docs](self) for the full epoch
+    /// contract (zero dropped requests, no torn blocks, the superseded
+    /// backend never evaluated again).
     ///
-    /// The registration's [`SimKey`] is deliberately kept: the epoch, not
-    /// the key, fences off the old generation's cache entries, so the key
-    /// can stay caller-stable across the backend's whole lifetime
-    /// (re-minimized covers, mutated defect maps, repairs).
+    /// The registration's [`SimKey`] is deliberately kept, and with it
+    /// the shard: the epoch, not the key, names the backend generation,
+    /// so the key can stay caller-stable across the backend's whole
+    /// lifetime (re-minimized covers, mutated defect maps, repairs).
     ///
     /// # Panics
     ///
@@ -874,18 +888,17 @@ impl SimService {
     }
 
     /// Current aggregate metrics: the fold over every registration's
-    /// per-epoch counters (see [`StatsSnapshot::fold`]), with eviction
-    /// counts joined in from the block cache. One snapshot path — the
-    /// per-registration data *is* the source of the aggregate.
+    /// per-epoch counters (see [`StatsSnapshot::fold`]). One snapshot
+    /// path — the per-registration data *is* the source of the aggregate.
     pub fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::fold(&self.stats_per_registration(), self.cache.evictions())
+        StatsSnapshot::fold(&self.stats_per_registration())
     }
 
     /// Per-registration metrics of one backend, keyed by `(SimId, epoch)`:
     /// lifetime request / backpressure counters, the live queue-depth
     /// gauge, and one [`EpochSnapshot`](crate::stats::EpochSnapshot) per
     /// epoch the registration has served (flush causes, lane occupancy,
-    /// cache hits/misses, flush-latency histogram).
+    /// flush-latency histogram).
     ///
     /// # Panics
     ///
@@ -948,12 +961,11 @@ impl Drop for SimService {
 
 /// One registered backend on the batcher side.
 ///
-/// The pack / evaluate / gather buffers are owned here and reused across
-/// flushes — after the first full-width flush the flush path allocates
-/// nothing but cache keys (when caching) and the reply payloads.
+/// The pack / evaluate buffers are owned here and reused across flushes —
+/// after the first full-width flush the flush path allocates nothing but
+/// the reply payloads.
 struct Registered {
     sim: SharedSim,
-    key: SimKey,
     /// Cached `sim.n_inputs()` (the packer needs it on every flush).
     n_inputs: usize,
     /// Cached `sim.n_outputs()` (sizes the output buffer).
@@ -979,15 +991,15 @@ struct Registered {
     /// traffic-floor counter. Reset on swap.
     lanes_served: u64,
     /// Lanes the *backend* actually evaluated under the current epoch
-    /// (cache hits excluded, full `words × 64` per eval call): the Auto
-    /// policy's spend counter — promotion is profitable once this
-    /// reaches `2^n_inputs` (see the module docs). Reset on swap.
+    /// (full `words × 64` per flush): the Auto policy's spend counter —
+    /// promotion is profitable once this reaches `2^n_inputs` (see the
+    /// module docs). Reset on swap.
     eval_lanes: u64,
     /// State shared with the handle: the pending counter this side
     /// decrements on flush, and the epoch this side publishes on swap.
     slot: Arc<SlotState>,
     /// The serving generation: 0 at registration, +1 per completed swap.
-    /// Part of every cache key and stamped into every reply.
+    /// Stamped into every reply.
     epoch: u64,
     /// The live epoch's stats — cached so the flush hot path records
     /// straight into atomics without touching the registry lock; replaced
@@ -1000,23 +1012,10 @@ struct Registered {
     packed: Vec<u64>,
     /// Output block, `n_outputs × words`, signal-major.
     out: Vec<u64>,
-    /// One 64-lane sub-block's input words (cache-key scratch).
-    subkey: Vec<u64>,
-    /// Word indices of *distinct* sub-blocks that missed the cache.
-    miss_words: Vec<usize>,
-    /// The lookup-built cache key of each distinct miss, kept so the
-    /// insert after evaluation does not construct (and clone) it again.
-    miss_keys: Vec<BlockKey>,
-    /// Missed sub-blocks identical to an earlier miss of the same flush:
-    /// `(word, index into miss_words)` — they reuse that evaluation.
-    miss_alias: Vec<(usize, usize)>,
-    /// Gathered input / output blocks of the missing sub-blocks.
-    miss_in: Vec<u64>,
-    miss_out: Vec<u64>,
 }
 
 impl Registered {
-    fn new(sim: SharedSim, key: SimKey, config: &ServeConfig, slot: Arc<SlotState>) -> Registered {
+    fn new(sim: SharedSim, config: &ServeConfig, slot: Arc<SlotState>) -> Registered {
         let n_inputs = sim.n_inputs();
         let n_outputs = sim.n_outputs();
         let epoch_stats = slot.stats.current_epoch();
@@ -1028,7 +1027,6 @@ impl Registered {
             && table_bytes(n_inputs, n_outputs) <= config.tier_max_table_bytes as u128;
         Registered {
             sim,
-            key,
             n_inputs,
             n_outputs,
             block_words: config.block_words,
@@ -1046,12 +1044,6 @@ impl Registered {
             opened: None,
             packed: Vec::new(),
             out: Vec::new(),
-            subkey: vec![0u64; n_inputs],
-            miss_words: Vec::new(),
-            miss_keys: Vec::new(),
-            miss_alias: Vec::new(),
-            miss_in: Vec::new(),
-            miss_out: Vec::new(),
         }
     }
 
@@ -1088,11 +1080,10 @@ impl Registered {
         lanes: usize,
         capacity: usize,
         latency_ns: u64,
-        (cache_hits, cache_misses): (usize, usize),
         recorder: &Option<Arc<dyn Recorder>>,
     ) {
         self.epoch_stats
-            .record_flush(cause, lanes, capacity, latency_ns, cache_hits, cache_misses);
+            .record_flush(cause, lanes, capacity, latency_ns);
         self.slot.pending.fetch_sub(lanes, Ordering::Relaxed);
         if let Some(rec) = recorder {
             rec.record(Event::now(EventKind::Flush {
@@ -1102,14 +1093,12 @@ impl Registered {
                 lanes: lanes as u32,
                 words: (capacity / LANES) as u32,
                 latency_ns,
-                cache_hits: cache_hits as u32,
-                cache_misses: cache_misses as u32,
             }));
         }
     }
 
     /// Answer one request from the materialized table as it arrives: no
-    /// packing, no cache traffic, no backend call. It is accounted as a
+    /// packing, no backend call. It is accounted as a
     /// full one-lane block that waited 0 ns. Returns `false`, answering
     /// nothing, while the registration is batched.
     fn answer_from_table(
@@ -1122,7 +1111,7 @@ impl Registered {
         let Some(table) = &self.table else {
             return false;
         };
-        self.account(FlushCause::Full, 1, 1, 0, (0, 0), recorder);
+        self.account(FlushCause::Full, 1, 1, 0, recorder);
         reply.0.deliver(SimReply {
             tag,
             epoch: self.epoch,
@@ -1131,18 +1120,11 @@ impl Registered {
         true
     }
 
-    fn flush(
-        &mut self,
-        cause: FlushCause,
-        cache: &BlockCache,
-        recorder: &Option<Arc<dyn Recorder>>,
-    ) {
+    fn flush(&mut self, cause: FlushCause, recorder: &Option<Arc<dyn Recorder>>) {
         if self.vectors.is_empty() {
             return;
         }
         let lanes = self.vectors.len();
-        let mut cache_hits = 0usize;
-        let mut cache_misses = 0usize;
         // A partial (deadline / shutdown) flush only pays for the lane
         // words it actually needs.
         let words = lanes.div_ceil(LANES);
@@ -1155,95 +1137,9 @@ impl Registered {
         pack_vectors_words(&self.vectors, self.n_inputs, words, &mut self.packed);
         self.out.clear();
         self.out.resize(self.n_outputs * words, 0);
-        if cache.is_disabled() {
-            // Skip key construction and shard locking entirely on the
-            // cache-off configuration (the cold-path bench measures this).
-            self.sim.eval_words(&self.packed, &mut self.out, words);
-            self.eval_lanes += (words * LANES) as u64;
-        } else {
-            // Consult the cache per 64-lane sub-block — the same keys a
-            // block_words = 1 service would use, so hit semantics do not
-            // depend on the configured width.
-            self.miss_words.clear();
-            self.miss_keys.clear();
-            self.miss_alias.clear();
-            for w in 0..words {
-                for i in 0..self.n_inputs {
-                    self.subkey[i] = self.packed[i * words + w];
-                }
-                let key = BlockKey::new(self.key, self.epoch, &self.subkey);
-                match cache.lookup(&key) {
-                    Some(cached) => {
-                        cache_hits += 1;
-                        for (j, &v) in cached.iter().enumerate() {
-                            self.out[j * words + w] = v;
-                        }
-                    }
-                    None => {
-                        // A sub-block identical to an earlier miss of
-                        // this flush is evaluated (and inserted) once.
-                        let dup = self.miss_words.iter().position(|&u| {
-                            (0..self.n_inputs)
-                                .all(|i| self.packed[i * words + u] == self.packed[i * words + w])
-                        });
-                        match dup {
-                            Some(k) => self.miss_alias.push((w, k)),
-                            None => {
-                                self.miss_words.push(w);
-                                self.miss_keys.push(key);
-                            }
-                        }
-                    }
-                }
-            }
-            // Duplicate sub-blocks within this flush were cache lookups
-            // too, so they count as misses like the entries they alias.
-            cache_misses = self.miss_words.len() + self.miss_alias.len();
-            if !self.miss_words.is_empty() {
-                // Gather the missing sub-blocks into one narrower block
-                // and evaluate them with a single eval_words call.
-                let mw = self.miss_words.len();
-                self.miss_in.clear();
-                self.miss_in.resize(self.n_inputs * mw, 0);
-                self.miss_out.clear();
-                self.miss_out.resize(self.n_outputs * mw, 0);
-                for (k, &w) in self.miss_words.iter().enumerate() {
-                    for i in 0..self.n_inputs {
-                        self.miss_in[i * mw + k] = self.packed[i * words + w];
-                    }
-                }
-                self.sim.eval_words(&self.miss_in, &mut self.miss_out, mw);
-                self.eval_lanes += (mw * LANES) as u64;
-                for ((k, &w), key) in self
-                    .miss_words
-                    .iter()
-                    .enumerate()
-                    .zip(self.miss_keys.drain(..))
-                {
-                    let value: Vec<u64> = (0..self.n_outputs)
-                        .map(|j| self.miss_out[j * mw + k])
-                        .collect();
-                    for (j, &v) in value.iter().enumerate() {
-                        self.out[j * words + w] = v;
-                    }
-                    cache.insert(key, value);
-                }
-                for &(w, k) in &self.miss_alias {
-                    let u = self.miss_words[k];
-                    for j in 0..self.n_outputs {
-                        self.out[j * words + w] = self.out[j * words + u];
-                    }
-                }
-            }
-        }
-        self.account(
-            cause,
-            lanes,
-            words * LANES,
-            latency_ns,
-            (cache_hits, cache_misses),
-            recorder,
-        );
+        self.sim.eval_words(&self.packed, &mut self.out, words);
+        self.eval_lanes += (words * LANES) as u64;
+        self.account(cause, lanes, words * LANES, latency_ns, recorder);
         // Scatter lane results. Only the `lanes` valid lanes are ever
         // unpacked, which is what makes partial (deadline) blocks safe —
         // see `logic::eval::lane_mask`.
@@ -1260,9 +1156,12 @@ impl Registered {
         // for a full exhaustive sweep (eval_lanes ≥ 2^n — see the module
         // docs for why the per-lane cost cancels) and the traffic floor
         // is met, materialize: the queue was just emptied, so from the
-        // next request on every one is answered on arrival.
+        // next request on every one is answered on arrival. A swap or
+        // shutdown drain is the backend's last flush, so it never
+        // promotes.
         self.lanes_served += lanes as u64;
-        if self.tier_policy == TierPolicy::Auto
+        if matches!(cause, FlushCause::Full | FlushCause::Deadline)
+            && self.tier_policy == TierPolicy::Auto
             && self.tier_eligible
             && self.lanes_served >= self.tier_min_requests
             && self.eval_lanes >= 1u64 << self.n_inputs
@@ -1272,12 +1171,7 @@ impl Registered {
     }
 }
 
-fn batcher_loop(
-    rx: Receiver<Msg>,
-    config: ServeConfig,
-    cache: &BlockCache,
-    recorder: Option<Arc<dyn Recorder>>,
-) {
+fn batcher_loop(rx: Receiver<Msg>, config: ServeConfig, recorder: Option<Arc<dyn Recorder>>) {
     let max_wait = config.max_wait;
     // Slot-addressed by SimId: concurrent register() calls may deliver
     // their Register messages out of id order, so slots can fill in any
@@ -1307,7 +1201,7 @@ fn batcher_loop(
                 if now >= deadline {
                     for r in registry.iter_mut().flatten() {
                         if r.opened.is_some_and(|t| t + max_wait <= now) {
-                            r.flush(FlushCause::Deadline, cache, &recorder);
+                            r.flush(FlushCause::Deadline, &recorder);
                         }
                     }
                     oldest_stale = true;
@@ -1321,11 +1215,11 @@ fn batcher_loop(
             }
         };
         match msg {
-            Msg::Register { id, sim, key, slot } => {
+            Msg::Register { id, sim, slot } => {
                 if id >= registry.len() {
                     registry.resize_with(id + 1, || None);
                 }
-                let mut r = Registered::new(sim, key, &config, slot);
+                let mut r = Registered::new(sim, &config, slot);
                 if let Some(rec) = &recorder {
                     rec.record(Event::now(EventKind::Register { slot: id as u32 }));
                 }
@@ -1367,7 +1261,7 @@ fn batcher_loop(
                 r.replies.push((tag, reply));
                 if r.vectors.len() == r.block_words * LANES {
                     let was_oldest = r.opened == oldest_open;
-                    r.flush(FlushCause::Full, cache, &recorder);
+                    r.flush(FlushCause::Full, &recorder);
                     if was_oldest {
                         oldest_stale = true;
                     }
@@ -1387,7 +1281,7 @@ fn batcher_loop(
                 // epoch — zero drops, no torn blocks.
                 let had_open = r.opened.is_some();
                 let drained_lanes = r.vectors.len();
-                r.flush(FlushCause::Swap, cache, &recorder);
+                r.flush(FlushCause::Swap, &recorder);
                 // The outgoing backend's table (if any) is stale the
                 // moment the new backend installs — drop it and reset the
                 // new epoch's promotion counters before deciding whether
@@ -1430,7 +1324,7 @@ fn batcher_loop(
         }
     }
     for r in registry.iter_mut().flatten() {
-        r.flush(FlushCause::Shutdown, cache, &recorder);
+        r.flush(FlushCause::Shutdown, &recorder);
     }
 }
 
@@ -1500,9 +1394,8 @@ mod tests {
 
     #[test]
     fn heterogeneous_backends_share_one_service() {
-        // The tentpole scenario: a nominal PLA and its faulty twin served
-        // side by side, plus the raw specification cover — three backend
-        // types, one batcher, one cache.
+        // A nominal PLA and its faulty twin served side by side, plus the
+        // raw specification cover — three backend types, one batcher.
         let service = SimService::start(quick()).expect("valid config");
         let cover = adder();
         let nominal = GnorPla::from_cover(&cover);
@@ -1545,36 +1438,6 @@ mod tests {
                 "faulty bits {bits:03b}"
             );
         }
-    }
-
-    #[test]
-    fn same_key_same_blocks_share_cached_results() {
-        // A cover and the (functionally identical) PLA mapped from it may
-        // legitimately share a SimKey: the second registration's blocks
-        // then hit the first one's cache entries.
-        let service = SimService::start(ServeConfig {
-            max_wait: Duration::from_secs(10),
-            ..ServeConfig::default()
-        })
-        .expect("valid config");
-        let cover = adder();
-        let key = SimKey::of_cover(&cover);
-        let cid = service.register(cover.clone());
-        let pid = service.register_sim(Arc::new(GnorPla::from_cover(&cover)), key);
-        let (sink, stream) = reply_channel();
-        for id in [cid, pid] {
-            for tag in 0..64u64 {
-                service.submit_tagged(id, tag % 8, tag, &sink);
-            }
-            for _ in 0..64 {
-                let reply = stream.recv();
-                assert_eq!(reply.outputs, cover.eval_bits(reply.tag % 8));
-            }
-        }
-        let snap = service.stats();
-        assert_eq!(snap.blocks, 2);
-        assert_eq!(snap.cache_misses, 1, "the cover's block populates");
-        assert_eq!(snap.cache_hits, 1, "the PLA's identical block reuses it");
     }
 
     #[test]
@@ -1699,36 +1562,6 @@ mod tests {
         assert_eq!(snap.full_flushes, 0);
         assert_eq!(snap.lanes_filled, 5);
         assert!(snap.p99_flush_ns >= 1_000_000, "waited at least max_wait");
-    }
-
-    #[test]
-    fn repeated_blocks_hit_the_cache() {
-        let service = SimService::start(ServeConfig {
-            max_wait: Duration::from_secs(10),
-            ..ServeConfig::default()
-        })
-        .expect("valid config");
-        let cover = adder();
-        let id = service.register(cover.clone());
-        let (sink, stream) = reply_channel();
-        for round in 0..3 {
-            for tag in 0..64u64 {
-                service.submit_tagged(id, tag % 8, tag, &sink);
-            }
-            for _ in 0..64 {
-                let reply = stream.recv();
-                assert_eq!(
-                    reply.outputs,
-                    cover.eval_bits(reply.tag % 8),
-                    "round {round}"
-                );
-            }
-        }
-        let snap = service.stats();
-        assert_eq!(snap.blocks, 3);
-        assert_eq!(snap.cache_misses, 1, "first block populates");
-        assert_eq!(snap.cache_hits, 2, "identical blocks reuse it");
-        assert!(snap.cache_hit_rate > 0.6);
     }
 
     #[test]
@@ -1857,89 +1690,26 @@ mod tests {
         assert_eq!(snap.lanes_filled, 128);
         assert_eq!(snap.lane_capacity, 128);
         assert!((snap.lane_occupancy - 1.0).abs() < 1e-12);
-        // Per-sub-block cache keys: one flush, two 64-lane lookups (both
-        // sub-blocks pack the same tag%8 pattern, so they miss together
-        // and the flush deduplicates them into one evaluation + entry).
-        assert_eq!(snap.cache_misses, 2);
-        assert_eq!(snap.cache_hits, 0);
-    }
-
-    /// Identical 64-lane sub-blocks inside one wide flush are evaluated
-    /// (and inserted) once: the counting backend sees exactly one lane
-    /// word for a 2-word flush whose halves pack the same columns.
-    #[test]
-    fn identical_sub_blocks_within_one_flush_evaluate_once() {
-        struct Counting {
-            inner: Cover,
-            words_evaluated: AtomicUsize,
-        }
-        impl Simulator for Counting {
-            fn n_inputs(&self) -> usize {
-                self.inner.n_inputs()
-            }
-            fn n_outputs(&self) -> usize {
-                Cover::n_outputs(&self.inner)
-            }
-            fn eval_words(&self, inputs: &[u64], out: &mut [u64], words: usize) {
-                self.words_evaluated.fetch_add(words, Ordering::Relaxed);
-                self.inner.eval_words(inputs, out, words);
-            }
-        }
-        let cover = adder();
-        let counting = Arc::new(Counting {
-            inner: cover.clone(),
-            words_evaluated: AtomicUsize::new(0),
-        });
-        let cache = BlockCache::new(64, 2);
-        let mut reg = Registered::new(
-            Arc::clone(&counting) as SharedSim,
-            SimKey::of_cover(&cover),
-            &words_config(2),
-            test_slot(128, 3, 2),
-        );
-        let (sink, stream) = reply_channel();
-        for i in 0..128u64 {
-            reg.vectors.push(i % 8); // both 64-lane halves pack identically
-            reg.replies.push((i, sink.clone()));
-        }
-        reg.flush(FlushCause::Full, &cache, &None);
-        for _ in 0..128 {
-            let reply = stream.recv();
-            assert_eq!(reply.outputs, cover.eval_bits(reply.tag % 8));
-        }
-        assert_eq!(
-            counting.words_evaluated.load(Ordering::Relaxed),
-            1,
-            "the duplicate sub-block must reuse the first one's evaluation"
-        );
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        assert_eq!(cache.len(), 1, "one entry covers both sub-blocks");
     }
 
     /// The multi-word generalization of the garbage-lane regression test:
     /// a flush of 130 requests (2 full lane words + 2 lanes of a third)
-    /// must never leak the 62 masked tail lanes into replies or cache
-    /// entries. Drives `Registered::flush` directly so the 130-lane
-    /// partial block is deterministic (a live service may split it across
-    /// deadline windows under load).
+    /// must never leak the 62 masked tail lanes into replies. Drives
+    /// `Registered::flush` directly so the 130-lane partial block is
+    /// deterministic (a live service may split it across deadline windows
+    /// under load).
     #[test]
     fn multi_word_partial_flush_masks_tail_lanes() {
         let cover = adder();
-        let cache = BlockCache::new(64, 2);
         let slot = test_slot(260, 3, 2);
-        let mut reg = Registered::new(
-            Arc::new(cover.clone()),
-            SimKey::of_cover(&cover),
-            &words_config(3),
-            Arc::clone(&slot),
-        );
+        let mut reg = Registered::new(Arc::new(cover.clone()), &words_config(3), Arc::clone(&slot));
         let (sink, stream) = reply_channel();
         for round in 0..2 {
             for i in 0..130u64 {
                 reg.vectors.push(i % 8);
                 reg.replies.push((i, sink.clone()));
             }
-            reg.flush(FlushCause::Deadline, &cache, &None);
+            reg.flush(FlushCause::Deadline, &None);
             for _ in 0..130 {
                 let reply = stream.recv();
                 assert_eq!(
@@ -1950,62 +1720,12 @@ mod tests {
                 );
             }
         }
-        // Round one populates three 64-lane sub-blocks (the partial tail
-        // packs zero-filled, so its entry is the deterministic evaluation
-        // of those zero lanes); round two hits all three.
-        assert_eq!(cache.misses(), 3, "three sub-blocks populate");
-        assert_eq!(cache.hits(), 3, "identical sub-blocks are reused");
-        let snap = StatsSnapshot::fold(&[slot.stats.snapshot(0)], cache.evictions());
+        // Each 130-lane flush pays for three lane words, and only its 130
+        // occupied lanes count as filled.
+        let snap = StatsSnapshot::fold(&[slot.stats.snapshot(0)]);
         assert_eq!(snap.lanes_filled, 260);
         assert_eq!(snap.lane_capacity, 2 * 192);
-        // The per-flush cache accounting folds to the cache's own totals.
-        assert_eq!(snap.cache_hits, 3);
-        assert_eq!(snap.cache_misses, 3);
-    }
-
-    /// Mixed hit/miss flushes: when some sub-blocks of a wide flush are
-    /// cached and others are not, only the misses are evaluated (gathered
-    /// into one narrower eval_words call) and every lane still scatters
-    /// the right answer.
-    #[test]
-    fn partially_cached_wide_flushes_evaluate_only_the_misses() {
-        let cover = adder();
-        let cache = BlockCache::new(64, 2);
-        let mut reg = Registered::new(
-            Arc::new(cover.clone()),
-            SimKey::of_cover(&cover),
-            &words_config(2),
-            test_slot(64 + 128, 3, 2),
-        );
-        let (sink, stream) = reply_channel();
-        // Warm exactly one sub-block: lanes 0..64 of the wide flush below.
-        for i in 0..64u64 {
-            reg.vectors.push(i % 8);
-            reg.replies.push((i, sink.clone()));
-        }
-        reg.flush(FlushCause::Deadline, &cache, &None);
-        for _ in 0..64 {
-            let reply = stream.recv();
-            assert_eq!(reply.outputs, cover.eval_bits(reply.tag % 8));
-        }
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        // Wide flush: sub-block 0 repeats the warmed pattern, sub-block 1
-        // is fresh.
-        for i in 0..128u64 {
-            reg.vectors.push(if i < 64 { i % 8 } else { (i + 3) % 8 });
-            reg.replies.push((i, sink.clone()));
-        }
-        reg.flush(FlushCause::Full, &cache, &None);
-        for _ in 0..128 {
-            let reply = stream.recv();
-            let bits = if reply.tag < 64 {
-                reply.tag % 8
-            } else {
-                (reply.tag + 3) % 8
-            };
-            assert_eq!(reply.outputs, cover.eval_bits(bits), "tag {}", reply.tag);
-        }
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        assert_eq!(slot.pending.load(Ordering::Relaxed), 0);
     }
 
     /// Requests queued before a swap are answered by the *old* backend
@@ -2089,46 +1809,6 @@ mod tests {
         service.swap_sim(id, Arc::new(xor));
     }
 
-    /// A swap must invalidate exactly the swapped registration's cached
-    /// blocks: the same packed pattern misses once per epoch, while an
-    /// untouched registration keeps hitting its warm entries.
-    #[test]
-    fn swap_invalidates_only_the_swapped_keys_cache() {
-        let service = SimService::start(ServeConfig {
-            max_wait: Duration::from_secs(10),
-            ..ServeConfig::default()
-        })
-        .expect("valid config");
-        let cover = adder();
-        let swapped = service.register_sim(Arc::new(cover.clone()), SimKey::new(1));
-        let bystander = service.register_sim(Arc::new(cover.clone()), SimKey::new(2));
-        let (sink, stream) = reply_channel();
-        let fill = |id| {
-            for tag in 0..64u64 {
-                service.submit_tagged(id, tag % 8, tag, &sink);
-            }
-            for _ in 0..64 {
-                let reply = stream.recv();
-                assert_eq!(reply.outputs, cover.eval_bits(reply.tag % 8));
-            }
-        };
-        // Warm both registrations, then prove both patterns are warm.
-        fill(swapped);
-        fill(bystander);
-        fill(swapped);
-        fill(bystander);
-        let snap = service.stats();
-        assert_eq!((snap.cache_misses, snap.cache_hits), (2, 2));
-        // Swap one; its next identical block must miss (new epoch keys)
-        // while the bystander keeps its warm hit rate.
-        service.swap_sim(swapped, Arc::new(cover.clone()));
-        fill(swapped);
-        fill(bystander);
-        let snap = service.stats();
-        assert_eq!(snap.cache_misses, 3, "only the swapped epoch repopulates");
-        assert_eq!(snap.cache_hits, 3, "the bystander still hits");
-    }
-
     #[test]
     fn degenerate_configs_are_refused_with_typed_errors() {
         for (config, expected) in [
@@ -2152,13 +1832,6 @@ mod tests {
                     ..ServeConfig::default()
                 },
                 ConfigError::ZeroShards,
-            ),
-            (
-                ServeConfig {
-                    cache_shards: 0,
-                    ..ServeConfig::default()
-                },
-                ConfigError::ZeroCacheShards,
             ),
             (
                 ServeConfig {
@@ -2186,9 +1859,9 @@ mod tests {
             assert!(!expected.to_string().is_empty());
         }
         assert_eq!(ServeConfig::default().validate(), Ok(()));
-        // cache_capacity == 0 stays legal: it disables caching.
+        // The inert cache_capacity is accepted at any value.
         assert!(SimService::start(ServeConfig {
-            cache_capacity: 0,
+            cache_capacity: 4096,
             ..ServeConfig::default()
         })
         .is_ok());
@@ -2204,6 +1877,13 @@ mod tests {
             .validate(),
             Ok(())
         );
+    }
+
+    #[test]
+    fn sim_key_of_cover_is_the_stable_cover_hash() {
+        let f = Cover::parse("10 1\n01 1", 2, 1).expect("valid cover");
+        assert_eq!(SimKey::of_cover(&f).raw(), cover_hash(&f));
+        assert_eq!(SimKey::of_cover(&f), SimKey::of_cover(&f.clone()));
     }
 
     #[test]
@@ -2348,7 +2028,7 @@ mod tests {
     }
 
     #[test]
-    fn forced_tier_serves_from_the_table_without_touching_the_cache() {
+    fn forced_tier_serves_from_the_table_without_evaluating_the_backend() {
         let service = SimService::start(ServeConfig {
             max_wait: Duration::from_secs(10),
             tier_policy: TierPolicy::Forced,
@@ -2383,11 +2063,6 @@ mod tests {
         assert!((snap.lane_occupancy - 1.0).abs() < 1e-12);
         assert_eq!(snap.p99_flush_ns, 0, "answered on arrival");
         assert_eq!(
-            (snap.cache_hits, snap.cache_misses),
-            (0, 0),
-            "the table path never consults the block cache"
-        );
-        assert_eq!(
             probe.words_evaluated.load(Ordering::Relaxed),
             1,
             "the backend is evaluated exactly once: the 2^3-assignment sweep"
@@ -2403,7 +2078,8 @@ mod tests {
         })
         .expect("valid config");
         let cover = adder();
-        let id = service.register(cover.clone());
+        let probe = Probe::of(cover.clone());
+        let id = service.register_sim(Arc::clone(&probe) as SharedSim, SimKey::of_cover(&cover));
         let (sink, stream) = reply_channel();
         let fill = |round: u64| {
             for tag in 0..64u64 {
@@ -2418,16 +2094,16 @@ mod tests {
                 );
             }
         };
-        // Round 1: 64 lanes served, one sub-block miss (64 evaluated
-        // lanes ≥ 2^3 — the spend test is already met) but below the
-        // 128-lane traffic floor: still batched.
+        // Round 1: 64 lanes served and evaluated (64 ≥ 2^3 — the spend
+        // test is already met) but below the 128-lane traffic floor:
+        // still batched.
         fill(1);
         assert_eq!(service.stats_for(id).tier, Tier::Batched);
         // Round 2 reaches the floor; the flush promotes afterwards.
         fill(2);
         assert_eq!(service.stats_for(id).tier, Tier::Materialized);
         // Round 3 serves from the table, one full one-lane block per
-        // request: no new cache traffic, and occupancy stays exact.
+        // request: no backend call, and occupancy stays exact.
         fill(3);
         let snap = service.stats();
         assert_eq!(snap.materialized, 1);
@@ -2435,7 +2111,11 @@ mod tests {
         assert_eq!(snap.full_flushes, 2 + 64);
         assert_eq!(snap.lanes_filled, 3 * 64);
         assert!((snap.lane_occupancy - 1.0).abs() < 1e-12);
-        assert_eq!((snap.cache_hits, snap.cache_misses), (1, 1));
+        assert_eq!(
+            probe.words_evaluated.load(Ordering::Relaxed),
+            2 + 1,
+            "one word per batched flush, then the 2^3-assignment sweep"
+        );
     }
 
     /// A materialized registration answers each request when it arrives:
@@ -2474,7 +2154,8 @@ mod tests {
         })
         .expect("valid config");
         let cover = adder();
-        let id = service.register(cover.clone());
+        let probe = Probe::of(cover.clone());
+        let id = service.register_sim(Arc::clone(&probe) as SharedSim, SimKey::of_cover(&cover));
         let (sink, stream) = reply_channel();
         for _ in 0..3 {
             for tag in 0..64u64 {
@@ -2488,7 +2169,11 @@ mod tests {
         assert_eq!(service.stats_for(id).tier, Tier::Batched);
         let snap = service.stats();
         assert_eq!(snap.materialized, 0);
-        assert_eq!((snap.cache_hits, snap.cache_misses), (2, 1));
+        assert_eq!(
+            probe.words_evaluated.load(Ordering::Relaxed),
+            3,
+            "every block is a batched evaluation, and no sweep ever runs"
+        );
     }
 
     /// The memory guard: a budget that affords a one-output table at the
@@ -2506,7 +2191,8 @@ mod tests {
         })
         .expect("valid config");
         let cover = adder();
-        let id = service.register(cover.clone());
+        let probe = Probe::of(cover.clone());
+        let id = service.register_sim(Arc::clone(&probe) as SharedSim, SimKey::of_cover(&cover));
         let (sink, stream) = reply_channel();
         for tag in 0..64u64 {
             service.submit_tagged(id, tag % 8, tag, &sink);
@@ -2518,7 +2204,80 @@ mod tests {
         assert_eq!(service.stats_for(id).tier, Tier::Batched);
         let snap = service.stats();
         assert_eq!(snap.materialized, 0);
-        assert_eq!(snap.cache_misses, 1, "served through the batched path");
+        assert_eq!(
+            probe.words_evaluated.load(Ordering::Relaxed),
+            1,
+            "served through the batched path: one flush, no sweep"
+        );
+    }
+
+    /// A swap or shutdown drain is the backend's last flush, so it must
+    /// never promote: a table built then would never answer a request.
+    /// With a 32-lane traffic floor and 40 requests queued, the drains
+    /// meet both Auto conditions — only the flush cause stops them.
+    #[test]
+    fn drain_flushes_never_promote() {
+        let ring = Arc::new(ambipla_obs::EventRing::with_capacity(1024));
+        let service = SimService::start_with_recorder(
+            ServeConfig {
+                max_wait: Duration::from_secs(10), // only drains flush
+                tier_min_requests: 32,
+                ..ServeConfig::default()
+            },
+            Arc::clone(&ring) as Arc<dyn Recorder>,
+        )
+        .expect("valid config");
+        let cover = adder();
+        let outgoing = Probe::of(cover.clone());
+        let id = service.register_sim(Arc::clone(&outgoing) as SharedSim, SimKey::new(5));
+        let (sink, stream) = reply_channel();
+        for tag in 0..40u64 {
+            service.submit_tagged(id, tag % 8, tag, &sink);
+        }
+        let incoming = Probe::of(cover.clone());
+        assert_eq!(service.swap_sim(id, Arc::clone(&incoming) as SharedSim), 1);
+        for _ in 0..40 {
+            let reply = stream.recv();
+            assert_eq!(
+                (reply.epoch, reply.outputs),
+                (0, cover.eval_bits(reply.tag % 8))
+            );
+        }
+        assert_eq!(
+            outgoing.words_evaluated.load(Ordering::Relaxed),
+            1,
+            "the outgoing backend is evaluated once: the drain, no sweep"
+        );
+        assert_eq!(service.stats_for(id).tier, Tier::Batched);
+        assert_eq!(incoming.words_evaluated.load(Ordering::Relaxed), 0);
+
+        // The shutdown drain of the incoming backend does not promote
+        // either.
+        for tag in 0..40u64 {
+            service.submit_tagged(id, tag % 8, tag, &sink);
+        }
+        let snap = service.shutdown();
+        for _ in 0..40 {
+            let reply = stream.recv();
+            assert_eq!(
+                (reply.epoch, reply.outputs),
+                (1, cover.eval_bits(reply.tag % 8))
+            );
+        }
+        assert_eq!(
+            incoming.words_evaluated.load(Ordering::Relaxed),
+            1,
+            "the shutdown drain evaluates once, no sweep"
+        );
+        assert_eq!(snap.materialized, 0);
+        assert_eq!((snap.swap_flushes, snap.shutdown_flushes), (1, 1));
+        assert!(
+            !ring
+                .drain()
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::TierPromote { .. })),
+            "no table was built for either epoch"
+        );
     }
 
     /// A swap must drop the outgoing backend's table (its answers are

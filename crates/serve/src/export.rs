@@ -52,9 +52,9 @@ fn histogram_samples(base: &[(&str, String)], hist: &HistogramSnapshot, out: &mu
 }
 
 /// Build the full family list: per-registration lifetime counters and
-/// gauges (`sim` label), per-`(sim, epoch)` flush/lane/cache series, the
-/// per-epoch flush-latency histograms, and the aggregate-only counters
-/// (cache evictions, total swaps). Registrations with no traffic still
+/// gauges (`sim` label), per-`(sim, epoch)` flush/lane series, the
+/// per-epoch flush-latency histograms, and the aggregate-only swap
+/// counter. Registrations with no traffic still
 /// contribute their zero-valued series — an idle backend is visible, not
 /// absent.
 pub fn metric_families(regs: &[RegSnapshot], aggregate: &StatsSnapshot) -> Vec<MetricFamily> {
@@ -66,8 +66,6 @@ pub fn metric_families(regs: &[RegSnapshot], aggregate: &StatsSnapshot) -> Vec<M
     let mut blocks = Vec::new();
     let mut lanes = Vec::new();
     let mut capacity = Vec::new();
-    let mut hits = Vec::new();
-    let mut misses = Vec::new();
     let mut latency = Vec::new();
     for reg in regs {
         let sim = reg.slot.to_string();
@@ -99,8 +97,6 @@ pub fn metric_families(regs: &[RegSnapshot], aggregate: &StatsSnapshot) -> Vec<M
             }
             lanes.push(Sample::new(l(&base), e.lanes_filled as f64));
             capacity.push(Sample::new(l(&base), e.lane_capacity as f64));
-            hits.push(Sample::new(l(&base), e.cache_hits as f64));
-            misses.push(Sample::new(l(&base), e.cache_misses as f64));
             histogram_samples(&base, &e.latency, &mut latency);
         }
     }
@@ -155,28 +151,10 @@ pub fn metric_families(regs: &[RegSnapshot], aggregate: &StatsSnapshot) -> Vec<M
             capacity,
         ),
         MetricFamily::new(
-            "ambipla_cache_hits_total",
-            "Sub-block cache hits, per (registration, epoch).",
-            MetricKind::Counter,
-            hits,
-        ),
-        MetricFamily::new(
-            "ambipla_cache_misses_total",
-            "Sub-block cache misses, per (registration, epoch).",
-            MetricKind::Counter,
-            misses,
-        ),
-        MetricFamily::new(
             "ambipla_flush_latency_ns",
             "Flush queue latency in ns (log2 buckets), per (registration, epoch).",
             MetricKind::Histogram,
             latency,
-        ),
-        MetricFamily::new(
-            "ambipla_cache_evictions_total",
-            "Block-cache evictions (service-wide).",
-            MetricKind::Counter,
-            vec![Sample::new(vec![], aggregate.cache_evictions as f64)],
         ),
         MetricFamily::new(
             "ambipla_swaps_total",
@@ -195,7 +173,7 @@ mod tests {
     #[test]
     fn zero_count_registration_renders_zero_series() {
         let reg = crate::stats::RegStats::new(0).snapshot(0);
-        let agg = StatsSnapshot::fold(std::slice::from_ref(&reg), 0);
+        let agg = StatsSnapshot::fold(std::slice::from_ref(&reg));
         let fams = metric_families(&[reg], &agg);
         let text = prometheus_text(&fams);
         // The idle registration is visible, all zeros.
@@ -218,11 +196,11 @@ mod tests {
         let reg = crate::stats::RegStats::new(3);
         reg.record_request();
         reg.current_epoch()
-            .record_flush(FlushCause::Full, 64, 64, 900, 1, 0);
+            .record_flush(FlushCause::Full, 64, 64, 900);
         let e1 = reg.begin_epoch();
-        e1.record_flush(FlushCause::Deadline, 5, 64, 70_000, 0, 1);
+        e1.record_flush(FlushCause::Deadline, 5, 64, 70_000);
         let snap = reg.snapshot(2);
-        let agg = StatsSnapshot::fold(std::slice::from_ref(&snap), 0);
+        let agg = StatsSnapshot::fold(std::slice::from_ref(&snap));
         let text = prometheus_text(&metric_families(&[snap], &agg));
         assert!(text.contains("ambipla_requests_total{sim=\"3\"} 1\n"));
         assert!(text.contains("ambipla_queue_depth{sim=\"3\"} 2\n"));
@@ -233,8 +211,8 @@ mod tests {
         assert!(text.contains(
             "ambipla_flushed_blocks_total{sim=\"3\",epoch=\"1\",cause=\"deadline\"} 1\n"
         ));
-        assert!(text.contains("ambipla_cache_hits_total{sim=\"3\",epoch=\"0\"} 1\n"));
-        assert!(text.contains("ambipla_cache_misses_total{sim=\"3\",epoch=\"1\"} 1\n"));
+        assert!(text.contains("ambipla_lanes_filled_total{sim=\"3\",epoch=\"1\"} 5\n"));
+        assert!(!text.contains("ambipla_cache_"));
         // 900 ns lands in bucket 10 (le = 1024); the cumulative +Inf
         // bucket and _count agree.
         assert!(
@@ -252,7 +230,7 @@ mod tests {
         let reg = crate::stats::RegStats::new(7);
         reg.set_tier(crate::stats::Tier::Materialized);
         let snap = reg.snapshot(0);
-        let agg = StatsSnapshot::fold(std::slice::from_ref(&snap), 0);
+        let agg = StatsSnapshot::fold(std::slice::from_ref(&snap));
         let fams = metric_families(&[snap], &agg);
         let text = prometheus_text(&fams);
         assert!(text.contains("ambipla_tier{sim=\"7\",tier=\"materialized\"} 1\n"));

@@ -9,13 +9,13 @@
 //! behind each queue is.
 //!
 //! ```text
-//!  clients        ┌────────────────────────── SimService ────────────────────────┐
-//!  submit(bits) ──┤  per-sim queues          result cache          evaluation    │
-//!  submit(bits) ──┼─▶ [Cover      ██████░░]  (SimKey, 64-lane    eval_words on   │
-//!  submit(bits) ──┤   [GnorPla    ██░░░░░░] ─▶ sub-block)     ─▶ &dyn Simulator  │
-//!  try_submit ────┼─▶ [FaultyPla  ████████]    sharded LRU,       (reused        │
-//!   └─ QueueFull ◀┤    flush on block_words    hit? skip eval      buffers)      │
-//!  replies  ◀─────┴──── × 64 lanes ──── scatter lanes back over channels ────────┘
+//!  clients        ┌──────────────────── SimService ─────────────────────┐
+//!  submit(bits) ──┤  per-sim queues                 evaluation          │
+//!  submit(bits) ──┼─▶ [Cover      ██████░░]       one eval_words call   │
+//!  submit(bits) ──┤   [GnorPla    ██░░░░░░] ────▶ per flushed block on  │
+//!  try_submit ────┼─▶ [FaultyPla  ████████]       &dyn Simulator        │
+//!   └─ QueueFull ◀┤    flush on block_words       (reused buffers)      │
+//!  replies  ◀─────┴──── × 64 lanes ── scatter lanes back over channels ─┘
 //! ```
 //!
 //! * [`batcher`] — the [`SimService`]: per-simulator lane-packing queues
@@ -38,10 +38,6 @@
 //!   answered on arrival by O(1) indexed load (the
 //!   [`Tier::Materialized`] tier), bit-identically to
 //!   the batched path and with the table rebuilt on every swap,
-//! * [`cache`] — the sharded LRU [`BlockCache`] keyed on
-//!   *(caller-supplied stable [`SimKey`], registration epoch, packed
-//!   64-lane sub-block)* with hit/miss/eviction counters — the epoch in
-//!   the key is what makes a hot swap's cache invalidation exact,
 //! * [`stats`] — per-registration, per-epoch metrics on lock-free atomic
 //!   counters ([`RegStats`] / [`RegSnapshot`], served by
 //!   [`SimService::stats_for`]), with the aggregate [`StatsSnapshot`]
@@ -53,9 +49,9 @@
 //!   any [`ambipla_obs::Recorder`] installed via
 //!   [`SimService::start_with_recorder`],
 //! * [`sweep`] — offline bulk evaluation of `&dyn Simulator` jobs sharded
-//!   across the deterministic [`WorkerPool`] (re-exported from
-//!   `ambipla_core::pool`; the same pool shards `fault::yield_analysis`
-//!   Monte-Carlo trials).
+//!   across the deterministic [`WorkerPool`] (`logic::par::Pool`,
+//!   re-exported through `ambipla_core`; the same pool shards
+//!   `fault::yield_analysis` Monte-Carlo trials).
 //!
 //! ## Quickstart
 //!
@@ -91,7 +87,7 @@
 //! ## Hot swaps
 //!
 //! A registration's backend can be replaced mid-traffic without dropping
-//! a request or serving a stale cache entry: [`SimService::swap_sim`]
+//! a request or mixing generations in a block: [`SimService::swap_sim`]
 //! drains the queue through the outgoing backend, installs the new one
 //! and bumps the registration's *epoch* — every [`SimReply`] names the
 //! epoch that served it, so a verifier can check each answer against the
@@ -119,7 +115,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod batcher;
-pub mod cache;
 pub mod export;
 pub mod stats;
 pub mod sweep;
@@ -130,9 +125,8 @@ pub use logic::eval::LANES;
 pub use ambipla_core::{cover_hash, Simulator, WorkerPool};
 pub use batcher::{
     reply_channel, shard_for_key, ConfigError, QueueFull, ReplySink, ReplyStream, ReplyTarget,
-    ServeConfig, SharedSim, SimId, SimReply, SimService, SimTicket, TierPolicy,
+    ServeConfig, SharedSim, SimId, SimKey, SimReply, SimService, SimTicket, TierPolicy,
 };
-pub use cache::{BlockCache, BlockKey, SimKey};
 pub use export::metric_families;
 pub use stats::{
     AtomicHistogram, EpochSnapshot, EpochStats, FlushCause, HistogramSnapshot, RegSnapshot,

@@ -4,13 +4,12 @@
 //! Stats are segmented the way the service itself is: a [`RegStats`] per
 //! registration (requests, backpressure rejections, live queue depth)
 //! holding one [`EpochStats`] per epoch (flush counters, lane occupancy,
-//! cache hit/miss, flush-latency histogram). Every counter — including
+//! flush-latency histogram). Every counter — including
 //! the histogram buckets ([`AtomicHistogram`]) — is a relaxed atomic, so
 //! the batcher's flush hot path never takes a lock and `stats()` scrapes
 //! never contend with it. The aggregate [`StatsSnapshot`] is no longer a
 //! separate set of counters: it is [`StatsSnapshot::fold`] over the
-//! per-registration snapshots, with cache evictions joined in from the
-//! [`BlockCache`](crate::BlockCache) — one snapshot path, no fabricated
+//! per-registration snapshots — one snapshot path, no fabricated
 //! fields. A snapshot is a consistent-enough copy for dashboards and
 //! bench output — it is not a transactional read, matching what
 //! production metric scrapes do.
@@ -25,18 +24,18 @@ pub use ambipla_obs::FlushCause;
 /// Every registration starts [`Batched`](Tier::Batched); small backends
 /// are promoted to [`Materialized`](Tier::Materialized) by the batcher's
 /// auto-tiering policy (or a forced-tier configuration), after which
-/// flushes answer by truth-table indexed load instead of backend
-/// `eval_words` calls. A hot swap drops the table, so the tier can move
-/// both ways over a registration's lifetime; [`RegSnapshot::tier`] and
-/// the `ambipla_tier` metric family report the live value.
+/// each request is answered on arrival by truth-table indexed load
+/// instead of waiting for a batched `eval_words` call. A hot swap drops
+/// the table, so the tier can move both ways over a registration's
+/// lifetime; [`RegSnapshot::tier`] and the `ambipla_tier` metric family
+/// report the live value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Requests are lane-packed and evaluated through the backend's
-    /// `eval_words` (with the sub-block result cache in front).
+    /// Requests are lane-packed and each flushed block is evaluated by
+    /// one backend `eval_words` call.
     Batched,
     /// Requests are answered by O(1) indexed load from a materialized
-    /// [`TruthTable`](ambipla_core::TruthTable) — no cache consult, no
-    /// backend call.
+    /// [`TruthTable`](ambipla_core::TruthTable) — no backend call.
     Materialized,
 }
 
@@ -166,8 +165,6 @@ pub struct EpochStats {
     shutdown_flushes: AtomicU64,
     lanes_filled: AtomicU64,
     lane_capacity: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     flush_latency: AtomicHistogram,
 }
 
@@ -182,8 +179,6 @@ impl EpochStats {
             shutdown_flushes: AtomicU64::new(0),
             lanes_filled: AtomicU64::new(0),
             lane_capacity: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
             flush_latency: AtomicHistogram::default(),
         }
     }
@@ -195,27 +190,13 @@ impl EpochStats {
 
     /// Count one flushed block: its cause, how many lanes were occupied,
     /// its lane `capacity` (`words × 64` for an evaluated block, 1 for a
-    /// truth-table answer, so lane occupancy stays meaningful for both),
-    /// the queue latency (first enqueue → flush) in ns, and the flush's
-    /// sub-block cache hit/miss burst — cache counters are first-class
-    /// here, not merged in later.
-    pub fn record_flush(
-        &self,
-        cause: FlushCause,
-        lanes: usize,
-        capacity: usize,
-        latency_ns: u64,
-        cache_hits: usize,
-        cache_misses: usize,
-    ) {
+    /// truth-table answer, so lane occupancy stays meaningful for both)
+    /// and the queue latency (first enqueue → flush) in ns.
+    pub fn record_flush(&self, cause: FlushCause, lanes: usize, capacity: usize, latency_ns: u64) {
         self.blocks.fetch_add(1, Ordering::Relaxed);
         self.lanes_filled.fetch_add(lanes as u64, Ordering::Relaxed);
         self.lane_capacity
             .fetch_add(capacity as u64, Ordering::Relaxed);
-        self.cache_hits
-            .fetch_add(cache_hits as u64, Ordering::Relaxed);
-        self.cache_misses
-            .fetch_add(cache_misses as u64, Ordering::Relaxed);
         match cause {
             FlushCause::Full => &self.full_flushes,
             FlushCause::Deadline => &self.deadline_flushes,
@@ -238,8 +219,6 @@ impl EpochStats {
             shutdown_flushes: self.shutdown_flushes.load(Ordering::Relaxed),
             lanes_filled: self.lanes_filled.load(Ordering::Relaxed),
             lane_capacity: self.lane_capacity.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
             latency,
         }
     }
@@ -401,10 +380,8 @@ impl ServiceStats {
 
     /// Aggregate snapshot: the fold over all registrations (queue-depth
     /// gauges read as 0 here — the service handle supplies live depths
-    /// for [`RegSnapshot`]s it hands out). `cache_evictions` joins in
-    /// from the block cache, the one counter that has no per-registration
-    /// home (eviction happens to whichever entry is coldest globally).
-    pub fn snapshot(&self, cache_evictions: u64) -> StatsSnapshot {
+    /// for [`RegSnapshot`]s it hands out).
+    pub fn snapshot(&self) -> StatsSnapshot {
         let regs: Vec<RegSnapshot> = self
             .regs
             .read()
@@ -413,7 +390,7 @@ impl ServiceStats {
             // analyze: allow(lock_order, reason = "regs -> epochs is the established order; the merged snapshot name adds a phantom reverse edge")
             .map(|r| r.snapshot(0))
             .collect();
-        StatsSnapshot::fold(&regs, cache_evictions)
+        StatsSnapshot::fold(&regs)
     }
 }
 
@@ -436,10 +413,6 @@ pub struct EpochSnapshot {
     pub lanes_filled: u64,
     /// Total lane capacity of this epoch's flushed blocks.
     pub lane_capacity: u64,
-    /// Sub-block cache hits under this epoch.
-    pub cache_hits: u64,
-    /// Sub-block cache misses under this epoch.
-    pub cache_misses: u64,
     /// Flush-latency distribution (mergeable log₂ buckets).
     pub latency: HistogramSnapshot,
 }
@@ -521,24 +494,17 @@ pub struct StatsSnapshot {
     pub p50_flush_ns: u64,
     /// Flush latency 99th percentile (ns, log₂-bucket upper bound).
     pub p99_flush_ns: u64,
-    /// Result-cache hits.
-    pub cache_hits: u64,
-    /// Result-cache misses.
-    pub cache_misses: u64,
-    /// Result-cache evictions.
-    pub cache_evictions: u64,
-    /// `hits / (hits + misses)`, 0 with no lookups.
+    /// Inert: always 0.0. The service keeps no result cache; the field
+    /// stays so existing readers still compile.
     pub cache_hit_rate: f64,
 }
 
 impl StatsSnapshot {
     /// Fold per-registration snapshots into the aggregate view. This *is*
     /// the definition of the aggregate: every counter (including the
-    /// latency quantiles, computed from the merged bucket arrays, and the
-    /// cache hit/miss totals) comes from the per-registration data —
-    /// `cache_evictions` is the one global joined in from the block
-    /// cache.
-    pub fn fold(regs: &[RegSnapshot], cache_evictions: u64) -> StatsSnapshot {
+    /// latency quantiles, computed from the merged bucket arrays) comes
+    /// from the per-registration data.
+    pub fn fold(regs: &[RegSnapshot]) -> StatsSnapshot {
         let mut out = StatsSnapshot {
             requests: 0,
             queue_full: 0,
@@ -554,9 +520,6 @@ impl StatsSnapshot {
             lane_occupancy: 0.0,
             p50_flush_ns: 0,
             p99_flush_ns: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_evictions,
             cache_hit_rate: 0.0,
         };
         let mut latency = HistogramSnapshot::default();
@@ -573,17 +536,11 @@ impl StatsSnapshot {
                 out.shutdown_flushes += e.shutdown_flushes;
                 out.lanes_filled += e.lanes_filled;
                 out.lane_capacity += e.lane_capacity;
-                out.cache_hits += e.cache_hits;
-                out.cache_misses += e.cache_misses;
                 latency.merge(&e.latency);
             }
         }
         if out.lane_capacity > 0 {
             out.lane_occupancy = out.lanes_filled as f64 / out.lane_capacity as f64;
-        }
-        let lookups = out.cache_hits + out.cache_misses;
-        if lookups > 0 {
-            out.cache_hit_rate = out.cache_hits as f64 / lookups as f64;
         }
         out.p50_flush_ns = latency.quantile_ns(0.50);
         out.p99_flush_ns = latency.quantile_ns(0.99);
@@ -624,14 +581,6 @@ impl std::fmt::Display for StatsSnapshot {
             100.0 * self.lane_occupancy,
             self.lanes_filled,
             self.blocks,
-        )?;
-        writeln!(
-            f,
-            "cache: {:.1}% hit rate ({} hits / {} misses / {} evictions)",
-            100.0 * self.cache_hit_rate,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
         )?;
         write!(
             f,
@@ -719,10 +668,10 @@ mod tests {
         reg.record_queue_full();
         reg.record_queue_full();
         let epoch = reg.current_epoch();
-        epoch.record_flush(FlushCause::Full, 64, 64, 2_000, 0, 1);
-        epoch.record_flush(FlushCause::Deadline, 6, 64, 150_000, 1, 0);
+        epoch.record_flush(FlushCause::Full, 64, 64, 2_000);
+        epoch.record_flush(FlushCause::Deadline, 6, 64, 150_000);
         reg.begin_epoch();
-        let snap = stats.snapshot(0);
+        let snap = stats.snapshot();
         assert_eq!(snap.requests, 70);
         assert_eq!(snap.queue_full, 2);
         assert_eq!(snap.blocks, 2);
@@ -733,9 +682,7 @@ mod tests {
         assert_eq!(snap.swaps, 1);
         assert_eq!(snap.lanes_filled, 70);
         assert!((snap.lane_occupancy - 70.0 / 128.0).abs() < 1e-12);
-        assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.cache_misses, 1);
-        assert!((snap.cache_hit_rate - 0.5).abs() < 1e-12);
+        assert_eq!(snap.cache_hit_rate, 0.0, "the inert stand-in");
         assert!(snap.p50_flush_ns >= 2_000);
         assert!(snap.p99_flush_ns >= snap.p50_flush_ns);
         // Display renders without panicking and mentions the headline
@@ -752,10 +699,10 @@ mod tests {
         // First swap drains a 10-lane partial queue under the outgoing
         // epoch; the second finds the queue empty (no flush recorded).
         reg.current_epoch()
-            .record_flush(FlushCause::Swap, 10, 64, 500, 0, 0);
+            .record_flush(FlushCause::Swap, 10, 64, 500);
         reg.begin_epoch();
         reg.begin_epoch();
-        let snap = stats.snapshot(0);
+        let snap = stats.snapshot();
         assert_eq!(snap.swaps, 2);
         assert_eq!(snap.swap_flushes, 1);
         assert_eq!(snap.blocks, 1);
@@ -769,9 +716,9 @@ mod tests {
         let reg = stats.register();
         let epoch = reg.current_epoch();
         // A full 3-word block and a partial 130-lane (3-word) flush.
-        epoch.record_flush(FlushCause::Full, 192, 192, 1_000, 0, 0);
-        epoch.record_flush(FlushCause::Deadline, 130, 192, 1_000, 0, 0);
-        let snap = stats.snapshot(0);
+        epoch.record_flush(FlushCause::Full, 192, 192, 1_000);
+        epoch.record_flush(FlushCause::Deadline, 130, 192, 1_000);
+        let snap = stats.snapshot();
         assert_eq!(snap.lanes_filled, 322);
         assert_eq!(snap.lane_capacity, 384);
         assert!((snap.lane_occupancy - 322.0 / 384.0).abs() < 1e-12);
@@ -781,9 +728,9 @@ mod tests {
     fn per_epoch_counters_stay_segmented() {
         let reg = RegStats::new(4);
         reg.current_epoch()
-            .record_flush(FlushCause::Full, 64, 64, 1_000, 2, 0);
+            .record_flush(FlushCause::Full, 64, 64, 1_000);
         let e1 = reg.begin_epoch();
-        e1.record_flush(FlushCause::Deadline, 10, 64, 9_000, 0, 3);
+        e1.record_flush(FlushCause::Deadline, 10, 64, 9_000);
         let snap = reg.snapshot(7);
         assert_eq!(snap.slot, 4);
         assert_eq!(snap.queue_depth, 7);
@@ -791,10 +738,10 @@ mod tests {
         assert_eq!(snap.epochs.len(), 2);
         assert_eq!(snap.epochs[0].epoch, 0);
         assert_eq!(snap.epochs[0].full_flushes, 1);
-        assert_eq!(snap.epochs[0].cache_hits, 2);
+        assert_eq!(snap.epochs[0].lanes_filled, 64);
         assert_eq!(snap.epochs[1].epoch, 1);
         assert_eq!(snap.epochs[1].deadline_flushes, 1);
-        assert_eq!(snap.epochs[1].cache_misses, 3);
+        assert_eq!(snap.epochs[1].lanes_filled, 10);
         assert!(snap.epochs[1].p50_flush_ns() >= 9_000);
     }
 
@@ -807,15 +754,14 @@ mod tests {
         a.record_request();
         b.record_request();
         a.current_epoch()
-            .record_flush(FlushCause::Full, 64, 64, 1_000, 1, 1);
+            .record_flush(FlushCause::Full, 64, 64, 1_000);
         b.current_epoch()
-            .record_flush(FlushCause::Deadline, 32, 64, 64_000, 0, 2);
-        let folded = stats.snapshot(5);
+            .record_flush(FlushCause::Deadline, 32, 64, 64_000);
+        let folded = stats.snapshot();
         assert_eq!(folded.requests, 3);
         assert_eq!(folded.blocks, 2);
-        assert_eq!(folded.cache_hits, 1);
-        assert_eq!(folded.cache_misses, 3);
-        assert_eq!(folded.cache_evictions, 5);
+        assert_eq!(folded.lanes_filled, 96);
+        assert_eq!(folded.lane_capacity, 128);
         // Merged histogram spans both registrations' observations.
         assert_eq!(folded.p50_flush_ns, 1_024);
         assert_eq!(folded.p99_flush_ns, 65_536);

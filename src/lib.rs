@@ -15,8 +15,8 @@
 //! * [`fault`] — defect injection, repair and yield analysis (with
 //!   deterministic parallel Monte-Carlo),
 //! * [`serve`] — the request-batching simulation service: lane-packing
-//!   batchers sharded across threads, sharded result cache, worker-pool
-//!   bulk sweeps,
+//!   batchers sharded across threads, a materialized truth-table tier,
+//!   worker-pool bulk sweeps,
 //! * [`net`] — the multi-tenant TCP front end over [`serve`]:
 //!   length-prefixed wire protocol, per-tenant token-bucket quotas,
 //!   deficit-round-robin fair queueing,

@@ -11,19 +11,18 @@
 //! * **(a)** every reply bit-matches the scalar truth of the epoch it was
 //!   served under (checked against an [`EpochOracle`] that records every
 //!   generation *before* its swap lands),
-//! * **(b)** a superseded epoch's cache entries never serve a reply after
-//!   the swap — instrumented with counting backends that observe every
-//!   real evaluation,
-//! * **(c)** the service's `stats()` swap/epoch counters reconcile
+//! * **(b)** the service's `stats()` swap/epoch counters reconcile
 //!   exactly with the driver's own swap log,
-//! * **(d)** the structured event log is consistent: an [`EventRing`]
+//! * **(c)** the structured event log is consistent: an [`EventRing`]
 //!   recorder drained by a concurrent collector thread sees every swap
 //!   in the driver's log exactly once, with the correct
 //!   `(from_epoch, to_epoch)` pair, and — the ring being drained faster
 //!   than it fills — loses nothing (`dropped() == 0`).
 //!
 //! Zero requests may be dropped: every submission must produce exactly
-//! one reply. `AMBIPLA_CHAOS_ITERS` overrides the default 60 swaps (CI
+//! one reply. A deterministic companion test counts real evaluations: a
+//! superseded backend is never evaluated again, and a swap leaves other
+//! registrations' backends alone. `AMBIPLA_CHAOS_ITERS` overrides the default 60 swaps (CI
 //! runs a bounded smoke with it; soak locally with a larger value).
 //!
 //! The network-mode run repeats the scenario through the full TCP stack
@@ -86,9 +85,7 @@ fn await_clients(running: &AtomicBool, what: &str, ready: impl Fn() -> bool) {
     }
 }
 
-/// A pass-through backend that counts how many lane words it actually
-/// evaluated — the probe for assertion (b): a cache hit never reaches
-/// the backend, so the counter separates real evaluations from replays.
+/// A pass-through backend that counts how many lane words it evaluated.
 struct Counting {
     inner: SharedSim,
     words: AtomicUsize,
@@ -161,8 +158,7 @@ fn swap_candidate(k: u64, spec: &Cover, base_faulty: &FaultyGnorPla) -> SharedSi
 
 /// The tentpole scenario: ≥ `chaos_iters()` hot swaps under sustained
 /// multi-threaded load, with every reply verified against the epoch that
-/// served it, zero drops, exact cache invalidation and reconciled
-/// counters.
+/// served it, zero drops and reconciled counters.
 #[test]
 fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
     const CLIENTS: u64 = 4;
@@ -178,7 +174,7 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
         DefectMap::clean(dims.products, dims.inputs, dims.outputs),
     );
 
-    // (d) the event recorder: a lock-free ring drained by a concurrent
+    // (c) the event recorder: a lock-free ring drained by a concurrent
     // collector thread, so the producers never see a full ring and the
     // chaos run's complete structured-event history is available for the
     // consistency checks at the end.
@@ -203,8 +199,6 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
     let service = SimService::start_with_recorder(
         ServeConfig {
             max_wait: Duration::from_micros(100),
-            cache_capacity: 256,
-            cache_shards: 4,
             block_words: 2,
             ..ServeConfig::default()
         },
@@ -307,54 +301,21 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
     assert_eq!(*epochs_seen.last().expect("some epoch"), swaps);
     assert!(epochs_seen.iter().all(|&e| e <= swaps));
 
-    // (b) instrumented: after quiesce, swap in a counting probe. The
-    // chaos run cached plenty of blocks under epochs 0..=swaps, yet none
-    // of them may serve the probe's epoch: its traffic must reach the
-    // probe backend for real, and every answer must be the probe's truth
-    // under the probe's epoch. (The *exact* per-block evaluation count is
-    // proven by the deterministic regression test below — here deadline
-    // flushes may legitimately split blocks, so only the reach-through
-    // and correctness are asserted.)
-    let probe = Counting::over(Arc::new(spec.clone()));
-    let probe_epoch = oracle.push(Arc::clone(&probe) as SharedSim);
-    assert_eq!(
-        service.swap_sim(fid, Arc::clone(&probe) as SharedSim),
-        probe_epoch
-    );
-    let (sink, stream) = reply_channel();
-    let mut probed = 0u64;
-    for tag in 0..128u64 {
-        service.submit_tagged(fid, tag % 8, tag, &sink);
-        probed += 1;
-    }
-    for _ in 0..128 {
-        let reply = stream.recv();
-        assert_eq!(reply.epoch, probe_epoch, "no reply predates the probe swap");
-        assert_eq!(reply.outputs, spec.eval_bits(reply.tag % 8));
-    }
-    assert!(
-        probe.words_evaluated() >= 1,
-        "post-swap traffic must evaluate on the new backend — a superseded \
-         epoch's cache entry can never serve it"
-    );
-
-    // (c) the service's counters reconcile with the driver's log.
+    // (b) the service's counters reconcile with the mutator's swap log.
     let snap = service.shutdown();
     assert_eq!(swap_log.len() as u64, swaps);
-    assert_eq!(
-        snap.swaps,
-        swaps + 1,
-        "every logged swap plus the counting probe bumped an epoch"
-    );
+    assert_eq!(snap.swaps, swaps, "every logged swap bumped an epoch");
     assert!(snap.swap_flushes <= snap.swaps);
-    let submitted = client_submitted + probed;
-    assert_eq!(snap.requests, submitted, "every submission was counted");
     assert_eq!(
-        snap.lanes_filled, submitted,
+        snap.requests, client_submitted,
+        "every submission was counted"
+    );
+    assert_eq!(
+        snap.lanes_filled, client_submitted,
         "zero dropped requests: every submission left through a flush"
     );
 
-    // (d) event-log consistency. The shutdown above flushed the final
+    // (c) event-log consistency. The shutdown above flushed the final
     // events, so the collector now holds the complete history.
     collector_stop.store(true, Ordering::Relaxed);
     let events = collector.join().expect("collector thread panicked");
@@ -372,8 +333,8 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
         .count();
     assert_eq!(registers, 1);
 
-    // Every swap in the driver's log — plus the counting-probe swap —
-    // appears in the ring exactly once, with the correct epoch pair.
+    // Every swap in the mutator's log appears in the ring exactly once,
+    // with the correct epoch pair.
     let mut swap_pairs: Vec<(u64, u64)> = events
         .iter()
         .filter_map(|e| match e.kind {
@@ -390,7 +351,7 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
     // the ring preserves their sequence — but sort anyway so the check
     // only relies on "exactly once", not on FIFO.
     swap_pairs.sort_unstable();
-    let expected: Vec<(u64, u64)> = (1..=swaps + 1).map(|k| (k - 1, k)).collect();
+    let expected: Vec<(u64, u64)> = (1..=swaps).map(|k| (k - 1, k)).collect();
     assert_eq!(
         swap_pairs, expected,
         "each driver-logged swap k must appear exactly once as (k-1, k)"
@@ -405,7 +366,7 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
         } = e.kind
         {
             assert_eq!(slot, 0);
-            assert!(epoch <= swaps + 1);
+            assert!(epoch <= swaps);
             flush_lanes += lanes as u64;
         }
     }
@@ -415,16 +376,17 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
     );
 }
 
-/// Satellite (b) regression, fully deterministic: a swap invalidates
-/// exactly the swapped registration's cache entries. The swapped slot's
-/// next identical block re-evaluates (its counting probe fires), while a
-/// bystander registration — same function, same traffic, different
-/// [`SimKey`] — keeps replaying its warm entries untouched.
+/// Deterministic companion to the chaos run, counted in real
+/// evaluations: a swap drains the queue through the outgoing backend,
+/// after which that backend is never evaluated again, and a bystander
+/// registration's backend is not evaluated by anything but its own
+/// traffic. With a 10 s deadline only full blocks and the swap drain
+/// flush, so every count is exact.
 #[test]
-fn swap_invalidates_exactly_the_swapped_registrations_entries() {
+fn superseded_backends_are_never_evaluated_again() {
     let spec = spec();
     let service = SimService::start(ServeConfig {
-        max_wait: Duration::from_secs(10), // only full blocks flush
+        max_wait: Duration::from_secs(10), // only full blocks and drains flush
         ..ServeConfig::default()
     })
     .expect("valid config");
@@ -444,48 +406,59 @@ fn swap_invalidates_exactly_the_swapped_registrations_entries() {
         }
     };
 
-    // Warm both registrations and prove the pattern is warm: the second
-    // identical block replays from cache, the probes never fire again.
+    // Two full blocks each: one lane word per flush.
     for _ in 0..2 {
         fill(sid);
         fill(bid);
     }
-    assert_eq!(swapped_gen0.words_evaluated(), 1);
-    assert_eq!(bystander_gen.words_evaluated(), 1);
+    assert_eq!(swapped_gen0.words_evaluated(), 2);
+    assert_eq!(bystander_gen.words_evaluated(), 2);
 
-    // Swap one registration. Its next identical block must be a real
-    // evaluation on the *new* backend; the old generation's probe stays
-    // quiet forever, and the bystander's warm entry still replays.
+    // Swap with a partial block queued: the drain is gen0's last
+    // evaluation, answered under epoch 0.
+    for tag in 0..10u64 {
+        service.submit_tagged(sid, tag % 8, tag, &sink);
+    }
     let swapped_gen1 = Counting::over(Arc::new(spec.clone()));
     assert_eq!(
         service.swap_sim(sid, Arc::clone(&swapped_gen1) as SharedSim),
         1
     );
-    fill(sid);
-    fill(bid);
+    for _ in 0..10 {
+        let reply = stream.recv();
+        assert_eq!(reply.epoch, 0, "drained under the outgoing epoch");
+        assert_eq!(reply.outputs, spec.eval_bits(reply.tag % 8));
+    }
+    assert_eq!(swapped_gen0.words_evaluated(), 3, "the drain flush");
     assert_eq!(
-        swapped_gen1.words_evaluated(),
-        1,
-        "the swapped slot's first post-swap block is a real evaluation"
+        bystander_gen.words_evaluated(),
+        2,
+        "the swap does not evaluate the bystander"
     );
+
+    // Post-swap traffic reaches only the new backend.
+    fill(sid);
+    fill(sid);
+    assert_eq!(swapped_gen1.words_evaluated(), 2);
     assert_eq!(
         swapped_gen0.words_evaluated(),
-        1,
-        "the superseded backend is never consulted again"
+        3,
+        "the superseded backend is never evaluated again"
     );
     assert_eq!(
         bystander_gen.words_evaluated(),
-        1,
-        "the bystander's warm entries survived the other slot's swap"
+        2,
+        "the bystander's count does not move with another slot's traffic"
     );
-    // And the new epoch's own entry is warm from here on.
-    fill(sid);
-    assert_eq!(swapped_gen1.words_evaluated(), 1);
+    // The bystander's own traffic still evaluates on its own backend.
+    fill(bid);
+    assert_eq!(bystander_gen.words_evaluated(), 3);
+    assert_eq!(swapped_gen0.words_evaluated(), 3);
 
     let snap = service.shutdown();
     assert_eq!(snap.swaps, 1);
-    assert_eq!(snap.cache_misses, 3, "gen0, bystander, gen1 — one each");
-    assert_eq!(snap.cache_hits, 4);
+    assert_eq!(snap.swap_flushes, 1);
+    assert_eq!(snap.lanes_filled, 7 * 64 + 10);
 }
 
 /// Tiered-evaluation chaos: a 12-input registration under the *auto*
@@ -550,9 +523,9 @@ fn promotion_mid_run_and_post_promotion_swaps_stay_epoch_consistent() {
                     let (sink, stream) = reply_channel();
                     let mut submitted = 0u64;
                     while running.load(Ordering::Relaxed) {
-                        // Fresh 12-bit patterns every burst: the block
-                        // cache cannot absorb them, so the batched phase
-                        // pays real evaluations and earns the promotion.
+                        // Fresh 12-bit patterns every burst: the batched
+                        // phase pays real evaluations and earns the
+                        // promotion.
                         for _ in 0..BURST {
                             let bits = rng.gen_range(0..1u64 << N);
                             service.submit_tagged(tid, bits, submitted << N | bits, &sink);
@@ -677,8 +650,6 @@ fn chaos_over_tcp_two_tenants_two_shards_stays_epoch_consistent() {
         SimService::start(ServeConfig {
             shards: 2,
             max_wait: Duration::from_micros(100),
-            cache_capacity: 256,
-            cache_shards: 4,
             block_words: 2,
             ..ServeConfig::default()
         })
@@ -897,8 +868,6 @@ proptest! {
         // swap drains and the shutdown drain — nothing else.
         let service = SimService::start(ServeConfig {
             max_wait: Duration::from_secs(10),
-            cache_capacity: 8,
-            cache_shards: 2,
             ..ServeConfig::default()
         })
     .expect("valid config");

@@ -4,17 +4,73 @@
 //! across covers, mixed between per-request tickets and shared reply
 //! channels, with block boundaries and deadline flushes landing wherever
 //! they land — every reply must equal the direct scalar
-//! `GnorPla::simulate_bits` answer for that request. Batching, packing,
-//! caching and flush timing are pure throughput mechanics; they must
-//! never be observable in the results.
+//! `GnorPla::simulate_bits` answer for that request. Batching, packing
+//! and flush timing are pure throughput mechanics; they must never be
+//! observable in the results. Behind counting backends, every batched
+//! flush is exactly one `eval_words` call over the block's lane words.
 
 use ambipla::core::{GnorPla, Simulator};
 use ambipla::fault::{DefectKind, DefectMap, FaultyGnorPla};
 use ambipla::logic::{Cover, Cube, Tri};
-use ambipla::serve::{reply_channel, ServeConfig, SimKey, SimService, Tier, TierPolicy};
+use ambipla::serve::{
+    reply_channel, ServeConfig, SharedSim, SimKey, SimService, Tier, TierPolicy, LANES,
+};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A pass-through backend that counts its `eval_words` calls and the lane
+/// words they evaluated.
+struct Counting<S> {
+    inner: S,
+    calls: AtomicU64,
+    words: AtomicU64,
+}
+
+impl<S> Counting<S> {
+    fn over(inner: S) -> Arc<Counting<S>> {
+        Arc::new(Counting {
+            inner,
+            calls: AtomicU64::new(0),
+            words: AtomicU64::new(0),
+        })
+    }
+
+    /// `(eval_words calls, lane words evaluated)` so far.
+    fn counts(&self) -> (u64, u64) {
+        (
+            self.calls.load(Ordering::Relaxed),
+            self.words.load(Ordering::Relaxed),
+        )
+    }
+}
+
+impl<S: Simulator> Simulator for Counting<S> {
+    fn n_inputs(&self) -> usize {
+        self.inner.n_inputs()
+    }
+
+    fn n_outputs(&self) -> usize {
+        self.inner.n_outputs()
+    }
+
+    fn eval_words(&self, inputs: &[u64], out: &mut [u64], words: usize) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.words.fetch_add(words as u64, Ordering::Relaxed);
+        self.inner.eval_words(inputs, out, words);
+    }
+}
+
+/// Register `cover` behind a counting backend under its canonical key.
+fn register_counted(
+    service: &SimService,
+    cover: &Cover,
+) -> (ambipla::serve::SimId, Arc<Counting<Cover>>) {
+    let counting = Counting::over(cover.clone());
+    let id = service.register_sim(Arc::clone(&counting) as SharedSim, SimKey::of_cover(cover));
+    (id, counting)
+}
 
 /// A random cube over `n` inputs and `o` outputs.
 fn arb_cube(n: usize, o: usize) -> impl Strategy<Value = Cube> {
@@ -58,19 +114,18 @@ proptest! {
         let covers = [covers.0, covers.1, covers.2];
         let plas: Vec<GnorPla> = covers.iter().map(GnorPla::from_cover).collect();
         // A short deadline so runs exercise deadline flushes alongside
-        // full-block flushes (schedules longer than 64 per cover), and a
-        // tiny cache so eviction happens under load too. block_words > 1
-        // additionally exercises multi-word packing, the per-sub-block
-        // cache keys and multi-word tail masking.
+        // full-block flushes (schedules longer than 64 per cover).
+        // block_words > 1 additionally exercises multi-word packing and
+        // multi-word tail masking. The default tier floor (4096 lanes) is
+        // far above any schedule, so every registration stays batched.
         let service = SimService::start(ServeConfig {
             max_wait: Duration::from_micros(200),
-            cache_capacity: 8,
-            cache_shards: 2,
             block_words,
             ..ServeConfig::default()
         })
-    .expect("valid config");
-        let ids: Vec<_> = covers.iter().map(|c| service.register(c.clone())).collect();
+        .expect("valid config");
+        let (ids, counters): (Vec<_>, Vec<_>) =
+            covers.iter().map(|c| register_counted(&service, c)).unzip();
 
         // Interleave the two submission styles in schedule order: shared
         // reply channel (tagged with the schedule index) and per-request
@@ -102,12 +157,14 @@ proptest! {
         let snap = service.shutdown();
         prop_assert_eq!(snap.requests, schedule.len() as u64);
         prop_assert_eq!(snap.lanes_filled, schedule.len() as u64);
-        // Every flushed block consults the cache once per 64-lane
-        // sub-block: at least once, at most block_words times.
-        prop_assert!(snap.cache_hits + snap.cache_misses >= snap.blocks);
-        prop_assert!(
-            snap.cache_hits + snap.cache_misses <= snap.blocks * block_words as u64
-        );
+        // Every batched flush is exactly one eval_words call over all of
+        // its lane words: calls == blocks, words == capacity / 64.
+        let (calls, words) = counters
+            .iter()
+            .map(|c| c.counts())
+            .fold((0, 0), |(a, b), (c, w)| (a + c, b + w));
+        prop_assert_eq!(calls, snap.blocks);
+        prop_assert_eq!(words, snap.lane_capacity / LANES as u64);
     }
 
     /// Mixed tiers on one service: with a forced policy bounded at 4
@@ -135,7 +192,8 @@ proptest! {
             ..ServeConfig::default()
         })
         .expect("valid config");
-        let ids: Vec<_> = covers.iter().map(|c| service.register(c.clone())).collect();
+        let (ids, counters): (Vec<_>, Vec<_>) =
+            covers.iter().map(|c| register_counted(&service, c)).unzip();
 
         let (sink, stream) = reply_channel();
         let mut tagged = 0usize;
@@ -168,6 +226,16 @@ proptest! {
         prop_assert_eq!(service.stats_for(ids[0]).tier, Tier::Materialized);
         prop_assert_eq!(service.stats_for(ids[1]).tier, Tier::Batched);
         prop_assert_eq!(service.stats_for(ids[2]).tier, Tier::Materialized);
+        // The materialized registrations evaluated their backend once —
+        // the one-word exhaustive sweep — and never again. Every flush of
+        // the batched one is one eval_words call over its lane words.
+        prop_assert_eq!(counters[0].counts(), (1, 1));
+        prop_assert_eq!(counters[2].counts(), (1, 1));
+        let batched = &service.stats_for(ids[1]).epochs[0];
+        prop_assert_eq!(
+            counters[1].counts(),
+            (batched.blocks, batched.lane_capacity / LANES as u64)
+        );
 
         let snap = service.shutdown();
         prop_assert_eq!(snap.requests, schedule.len() as u64);
@@ -176,21 +244,14 @@ proptest! {
             "materialized flushes account their lanes like batched ones"
         );
         prop_assert_eq!(snap.materialized, 2);
-        // Only the batched 6-input registration may touch the LRU: the
-        // materialized flush path answers by indexed load alone. Each of
-        // its flushes serves ≥ 1 lane, so its own request count bounds
-        // the cache consults.
-        let batched_requests =
-            schedule.iter().filter(|&&(c, _, _)| c == 1).count() as u64;
-        prop_assert!(snap.cache_hits + snap.cache_misses <= batched_requests);
     }
 }
 
 /// The redesigned registration API end to end through the facade: a
 /// specification cover and its defective twin served side by side, with
 /// identical bit patterns in flight for both, must scatter each reply to
-/// the right backend — and the cache, keyed on distinct `SimKey`s, must
-/// never serve one twin's block to the other.
+/// the right backend, and each twin's blocks are evaluated by that twin
+/// alone.
 #[test]
 fn cover_and_faulty_twin_are_served_side_by_side() {
     let service = SimService::with_defaults();
@@ -210,13 +271,14 @@ fn cover_and_faulty_twin_are_served_side_by_side() {
         "the defect must corrupt the function for this test to mean anything"
     );
 
-    let cid = service.register(spec.clone());
+    let (cid, spec_counts) = register_counted(&service, &spec);
+    let faulty_counts = Counting::over(faulty.clone());
     let fid = service.register_sim(
-        Arc::new(faulty.clone()),
+        Arc::clone(&faulty_counts) as SharedSim,
         SimKey::new(SimKey::of_cover(&spec).raw() ^ 0xdef),
     );
     // Three rounds of every assignment to both backends: identical input
-    // blocks, distinct SimKeys, so the cache must keep them apart.
+    // blocks in flight for both registrations.
     for _ in 0..3 {
         let tickets: Vec<_> = (0..8u64)
             .map(|bits| (bits, service.submit(cid, bits), service.submit(fid, bits)))
@@ -230,13 +292,22 @@ fn cover_and_faulty_twin_are_served_side_by_side() {
             );
         }
     }
+    let per_reg = [service.stats_for(cid), service.stats_for(fid)];
     let snap = service.shutdown();
     assert_eq!(snap.requests, 48);
-    assert_eq!(
-        snap.cache_hits + snap.cache_misses,
-        snap.blocks,
-        "every flushed block consults the cache exactly once"
-    );
+    for (reg, counts) in per_reg
+        .iter()
+        .zip([spec_counts.counts(), faulty_counts.counts()])
+    {
+        let e = &reg.epochs[0];
+        assert_eq!(e.lanes_filled, 24, "slot {}", reg.slot);
+        assert_eq!(
+            counts,
+            (e.blocks, e.lane_capacity / LANES as u64),
+            "slot {}: one eval_words call per flushed block, on its own backend",
+            reg.slot
+        );
+    }
 }
 
 /// Backpressure and hot swaps compose: a queue filled to `queue_depth`

@@ -2,12 +2,11 @@
 //! of the per-registration snapshots — no counter invented, none lost.
 //!
 //! Arbitrary op sequences (requests, rejections, epoch bumps, flushes
-//! with arbitrary cause / lanes / latency / cache counts) are replayed
-//! into [`RegStats`] registries while an independent tally tracks what
-//! went in. [`StatsSnapshot::fold`] over the per-registration snapshots
-//! must reproduce the tally to the last unit, and its derived fields
-//! (occupancy, hit rate, latency quantiles) must agree with the merged
-//! histogram.
+//! with arbitrary cause / lanes / capacity / latency) are replayed into
+//! [`RegStats`] registries while an independent tally tracks what went
+//! in. [`StatsSnapshot::fold`] over the per-registration snapshots must
+//! reproduce the tally to the last unit, and its derived fields
+//! (occupancy, latency quantiles) must agree with the merged histogram.
 
 use ambipla::serve::{FlushCause, HistogramSnapshot, RegStats, StatsSnapshot};
 use proptest::prelude::*;
@@ -24,8 +23,6 @@ enum Op {
         lanes: usize,
         capacity: usize,
         latency_ns: u64,
-        cache_hits: usize,
-        cache_misses: usize,
     },
 }
 
@@ -43,24 +40,14 @@ fn arb_op() -> impl Strategy<Value = Op> {
         3 => Just(Op::Request),
         1 => Just(Op::QueueFull),
         1 => Just(Op::Swap),
-        3 => (
-            arb_cause(),
-            1..257usize,
-            1..257usize,
-            0..5_000_000u64,
-            0..8usize,
-            0..8usize,
-        )
-            .prop_map(|(cause, lanes, capacity, latency_ns, cache_hits, cache_misses)| {
-                Op::Flush {
-                    cause,
-                    lanes,
-                    capacity,
-                    latency_ns,
-                    cache_hits,
-                    cache_misses,
-                }
-            }),
+        3 => (arb_cause(), 1..257usize, 1..257usize, 0..5_000_000u64).prop_map(
+            |(cause, lanes, capacity, latency_ns)| Op::Flush {
+                cause,
+                lanes,
+                capacity,
+                latency_ns,
+            }
+        ),
     ]
 }
 
@@ -74,8 +61,6 @@ struct Tally {
     by_cause: [u64; 4],
     lanes_filled: u64,
     lane_capacity: u64,
-    cache_hits: u64,
-    cache_misses: u64,
     latencies: Vec<u64>,
 }
 
@@ -107,9 +92,9 @@ proptest! {
                         reg.begin_epoch();
                         tally.swaps += 1;
                     }
-                    Op::Flush { cause, lanes, capacity, latency_ns, cache_hits, cache_misses } => {
+                    Op::Flush { cause, lanes, capacity, latency_ns } => {
                         reg.current_epoch()
-                            .record_flush(cause, lanes, capacity, latency_ns, cache_hits, cache_misses);
+                            .record_flush(cause, lanes, capacity, latency_ns);
                         tally.blocks += 1;
                         tally.by_cause[match cause {
                             FlushCause::Full => 0,
@@ -119,8 +104,6 @@ proptest! {
                         }] += 1;
                         tally.lanes_filled += lanes as u64;
                         tally.lane_capacity += capacity as u64;
-                        tally.cache_hits += cache_hits as u64;
-                        tally.cache_misses += cache_misses as u64;
                         tally.latencies.push(latency_ns);
                     }
                 }
@@ -128,7 +111,7 @@ proptest! {
             snapshots.push(reg.snapshot(0));
         }
 
-        let agg = StatsSnapshot::fold(&snapshots, 7);
+        let agg = StatsSnapshot::fold(&snapshots);
 
         // Every counter in the aggregate is the tally, to the last unit.
         prop_assert_eq!(agg.requests, tally.requests);
@@ -141,9 +124,7 @@ proptest! {
         prop_assert_eq!(agg.shutdown_flushes, tally.by_cause[3]);
         prop_assert_eq!(agg.lanes_filled, tally.lanes_filled);
         prop_assert_eq!(agg.lane_capacity, tally.lane_capacity);
-        prop_assert_eq!(agg.cache_hits, tally.cache_hits);
-        prop_assert_eq!(agg.cache_misses, tally.cache_misses);
-        prop_assert_eq!(agg.cache_evictions, 7, "evictions pass through the fold");
+        prop_assert_eq!(agg.cache_hit_rate, 0.0, "the inert stand-in");
 
         // Derived fields agree with plain recomputation.
         if tally.lane_capacity > 0 {
@@ -151,13 +132,6 @@ proptest! {
             prop_assert!((agg.lane_occupancy - occ).abs() < 1e-12);
         } else {
             prop_assert_eq!(agg.lane_occupancy, 0.0);
-        }
-        let lookups = tally.cache_hits + tally.cache_misses;
-        if lookups > 0 {
-            let rate = tally.cache_hits as f64 / lookups as f64;
-            prop_assert!((agg.cache_hit_rate - rate).abs() < 1e-12);
-        } else {
-            prop_assert_eq!(agg.cache_hit_rate, 0.0);
         }
 
         // The merged latency histogram saw exactly the recorded flushes,
