@@ -4,9 +4,19 @@
 //! tile for half-area CLBs), the cost is the half-perimeter wirelength
 //! (HPWL) of the routed nets, and moves are block relocations or swaps.
 //! Deterministic for a given seed.
+//!
+//! The cost is kept incrementally, after VPR's bounding-box cost (Betz &
+//! Rose, FPL 1997). Each routed net's HPWL is cached, and a move
+//! re-measures only the nets of the block it moves and of its swap
+//! partner, a net they share once. HPWL is an integer, so the running
+//! total, and hence every move's cost delta, is exactly what a full
+//! re-measure would give: each accept decision, the RNG stream behind it
+//! and the final placement are those of the from-scratch loop. Debug
+//! builds check the total against [`Placement::hpwl`] after every
+//! temperature stage.
 
 use crate::arch::{FpgaArch, FpgaFlavor};
-use crate::circuit::Circuit;
+use crate::circuit::{Circuit, Net};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -94,20 +104,24 @@ impl Placement {
         circuit
             .routed_nets(self.flavor)
             .iter()
-            .map(|net| {
-                let (mut xmin, mut ymin) = self.coords(net.source);
-                let (mut xmax, mut ymax) = (xmin, ymin);
-                for &s in &net.sinks {
-                    let (x, y) = self.coords(s);
-                    xmin = xmin.min(x);
-                    xmax = xmax.max(x);
-                    ymin = ymin.min(y);
-                    ymax = ymax.max(y);
-                }
-                (xmax - xmin) + (ymax - ymin)
-            })
+            .map(|net| net_hpwl(net, |b| self.coords(b)))
             .sum()
     }
+}
+
+/// Half-perimeter of the bounding box of `net`'s pins, each block located
+/// by `xy`.
+fn net_hpwl(net: &Net, xy: impl Fn(usize) -> (usize, usize)) -> usize {
+    let (mut xmin, mut ymin) = xy(net.source);
+    let (mut xmax, mut ymax) = (xmin, ymin);
+    for &s in &net.sinks {
+        let (x, y) = xy(s);
+        xmin = xmin.min(x);
+        xmax = xmax.max(x);
+        ymin = ymin.min(y);
+        ymax = ymax.max(y);
+    }
+    (xmax - xmin) + (ymax - ymin)
 }
 
 /// Place `circuit` on `arch` under `flavor` with simulated annealing.
@@ -134,6 +148,9 @@ pub fn place_traced(
     (placement, trace)
 }
 
+/// Marks a free slot in `anneal`'s per-tile occupant table.
+const FREE: usize = usize::MAX;
+
 fn anneal(
     circuit: &Circuit,
     arch: &FpgaArch,
@@ -149,26 +166,50 @@ fn anneal(
         "{n} blocks exceed {capacity} slots on a {0}x{0} die",
         arch.grid
     );
-
-    let mut rng = StdRng::seed_from_u64(seed);
     // Initial placement: row-major compact fill (good starting point, and
     // exactly what a greedy packer would do).
-    let mut tile_of: Vec<usize> = (0..n).map(|b| b / slots_per_tile).collect();
-    let mut used: Vec<usize> = vec![0; arch.tiles()];
-    for &t in &tile_of {
-        used[t] += 1;
-    }
-
     let mut placement = Placement {
-        tile_of: tile_of.clone(),
+        tile_of: (0..n).map(|b| b / slots_per_tile).collect(),
         grid: arch.grid,
         flavor,
     };
-    let mut cost = placement.hpwl(circuit) as f64;
+    if n == 0 {
+        // No block to draw a move for.
+        return placement;
+    }
 
+    // State built once per call: each block's routed nets (ascending,
+    // each once) and coordinates, each net's cached HPWL and their total,
+    // and each tile's occupants, `FREE`-padded to `slots_per_tile`.
+    let nets = circuit.routed_nets(flavor);
+    let mut nets_of: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (k, net) in nets.iter().enumerate() {
+        for &b in std::iter::once(&net.source).chain(&net.sinks) {
+            if nets_of[b].last() != Some(&k) {
+                nets_of[b].push(k);
+            }
+        }
+    }
+    let tile_xy: Vec<(usize, usize)> = (0..arch.tiles())
+        .map(|t| (t % arch.grid, t / arch.grid))
+        .collect();
+    let mut xy: Vec<(usize, usize)> = placement.tile_of.iter().map(|&t| tile_xy[t]).collect();
+    let mut net_cost: Vec<usize> = nets.iter().map(|net| net_hpwl(net, |b| xy[b])).collect();
+    let mut total: usize = net_cost.iter().sum();
+    let mut occupants = vec![FREE; arch.tiles() * slots_per_tile];
+    for (b, &t) in placement.tile_of.iter().enumerate() {
+        occupants[t * slots_per_tile + b % slots_per_tile] = b;
+    }
+    // Per-move scratch: the re-measured nets as `(net, new HPWL)`, and
+    // the number of the last move that re-measured each net.
+    let mut remeasured: Vec<(usize, usize)> = Vec::with_capacity(nets.len());
+    let mut measured_in = vec![0usize; nets.len()];
+    let mut move_no = 0usize;
+
+    let mut rng = StdRng::seed_from_u64(seed);
     // Annealing schedule: geometric cooling, move budget scaled to size.
     let moves_per_temp = (16 * n).max(64);
-    let mut temp = (cost / n.max(1) as f64).max(1.0);
+    let mut temp = (total as f64 / n as f64).max(1.0);
     let t_min = 0.01;
     let mut started = trace.as_ref().map(|_| Instant::now());
     while temp > t_min {
@@ -176,61 +217,86 @@ fn anneal(
         let mut accepts = 0usize;
         for _ in 0..moves_per_temp {
             let b = rng.gen_range(0..n);
-            let old_tile = tile_of[b];
+            let old_tile = placement.tile_of[b];
             let new_tile = rng.gen_range(0..arch.tiles());
             if new_tile == old_tile {
                 continue;
             }
             moves += 1;
-            // Either move into free capacity or swap with a block there.
-            let swap_with: Option<usize> = if used[new_tile] < slots_per_tile {
-                None
-            } else {
-                // Pick a block on the target tile to swap with.
-                (0..n).find(|&x| tile_of[x] == new_tile)
+            move_no += 1;
+            // Either move into a free slot or swap with the lowest-index
+            // block on the target tile.
+            let on_new = new_tile * slots_per_tile..(new_tile + 1) * slots_per_tile;
+            let target = match on_new.clone().find(|&s| occupants[s] == FREE) {
+                Some(free) => free,
+                None => on_new
+                    .min_by_key(|&s| occupants[s])
+                    .expect("tiles have slots"),
             };
-            // Apply tentatively.
-            tile_of[b] = new_tile;
+            let swap_with = Some(occupants[target]).filter(|&o| o != FREE);
+            // Apply tentatively and re-measure the moved blocks' nets.
+            xy[b] = tile_xy[new_tile];
             if let Some(o) = swap_with {
-                tile_of[o] = old_tile;
+                xy[o] = tile_xy[old_tile];
             }
-            placement.tile_of.clone_from(&tile_of);
-            let new_cost = placement.hpwl(circuit) as f64;
-            let delta = new_cost - cost;
+            remeasured.clear();
+            let (mut removed, mut added) = (0, 0);
+            for moved in std::iter::once(b).chain(swap_with) {
+                for &k in &nets_of[moved] {
+                    if measured_in[k] != move_no {
+                        measured_in[k] = move_no;
+                        let h = net_hpwl(nets[k], |p| xy[p]);
+                        removed += net_cost[k];
+                        added += h;
+                        remeasured.push((k, h));
+                    }
+                }
+            }
+            let new_total = total - removed + added;
+            let delta = new_total as f64 - total as f64;
             let accept = delta <= 0.0 || rng.gen_bool((-delta / temp).exp().clamp(0.0, 1.0));
             if accept {
                 accepts += 1;
-                used[old_tile] -= 1;
-                used[new_tile] += 1;
-                if let Some(o) = swap_with {
-                    used[new_tile] -= 1;
-                    used[old_tile] += 1;
-                    let _ = o;
+                total = new_total;
+                for &(k, h) in &remeasured {
+                    net_cost[k] = h;
                 }
-                cost = new_cost;
+                let b_slot = (old_tile * slots_per_tile..(old_tile + 1) * slots_per_tile)
+                    .find(|&s| occupants[s] == b)
+                    .expect("a block occupies a slot of its tile");
+                // b's old slot takes the partner, or falls free.
+                occupants[b_slot] = occupants[target];
+                occupants[target] = b;
+                placement.tile_of[b] = new_tile;
+                if let Some(o) = swap_with {
+                    placement.tile_of[o] = old_tile;
+                }
             } else {
                 // Revert.
-                tile_of[b] = old_tile;
+                xy[b] = tile_xy[old_tile];
                 if let Some(o) = swap_with {
-                    tile_of[o] = new_tile;
+                    xy[o] = tile_xy[new_tile];
                 }
-                placement.tile_of.clone_from(&tile_of);
             }
         }
+        debug_assert_eq!(
+            total,
+            placement.hpwl(circuit),
+            "incremental HPWL drifted from a full re-measure"
+        );
         if let Some(tr) = trace.as_deref_mut() {
             let now = Instant::now();
             tr.stages.push(AnnealStage {
                 temperature: temp,
                 moves,
                 accepts,
-                cost,
+                cost: total as f64,
                 wall_ns: (now - started.unwrap()).as_nanos() as u64,
             });
             started = Some(now);
         }
         temp *= 0.8;
     }
-    placement.tile_of = tile_of;
     placement
 }
 
@@ -318,6 +384,29 @@ mod tests {
             traced.hpwl(&circuit) as f64
         );
         assert_eq!(trace.cost_trajectory().len(), trace.stages.len());
+    }
+
+    #[test]
+    fn empty_and_single_block_circuits_place_and_emulate() {
+        // An empty circuit is valid: it places without drawing a move, and
+        // the whole flow runs on it.
+        let empty = Circuit::new(0, vec![]);
+        let arch = FpgaArch::new(1);
+        for flavor in [FpgaFlavor::Standard, FpgaFlavor::CnfetPla] {
+            let (p, trace) = place_traced(&empty, &arch, flavor, 3);
+            assert_eq!(p.hpwl(&empty), 0);
+            assert!(trace.stages.is_empty());
+            let r = crate::emulate(&empty, &arch, flavor, 3);
+            assert_eq!((r.routed_connections, r.wirelength), (0, 0));
+            assert!(r.frequency > 0.0);
+        }
+        // One block on a one-tile die: every drawn move is a self-move.
+        let single = Circuit::new(1, vec![]);
+        let (p, trace) = place_traced(&single, &arch, FpgaFlavor::Standard, 3);
+        assert_eq!(p.tile(0), 0);
+        assert_eq!(trace.total_moves(), 0);
+        let r = crate::emulate(&single, &arch, FpgaFlavor::Standard, 3);
+        assert_eq!(r.occupancy, 1.0);
     }
 
     #[test]

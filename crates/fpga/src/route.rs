@@ -6,6 +6,10 @@
 //! congestion costs — a miniature PathFinder. The result records per-
 //! connection hop counts and the channel overuse the timing model converts
 //! into delay.
+//!
+//! One call to [`route`] allocates its search state once: every Dijkstra
+//! search reuses the same distance, predecessor and heap scratch, and each
+//! re-route rewrites its connection's path in place.
 
 use crate::arch::{FpgaArch, FpgaFlavor};
 use crate::circuit::Circuit;
@@ -75,17 +79,18 @@ pub fn route(circuit: &Circuit, placement: &Placement, arch: &FpgaArch) -> Routi
 
     // Negotiated congestion: three passes with growing penalty.
     let mut paths: Vec<Vec<usize>> = vec![Vec::new(); pins.len()];
+    let mut search = Search::new(grid);
     for pass in 0..3 {
         let penalty = 2.0 + 4.0 * pass as f64;
-        for (k, &(src, dst)) in pins.iter().enumerate() {
+        for (&(src, dst), path) in pins.iter().zip(&mut paths) {
             // Rip up the previous path.
-            for &e in &paths[k] {
+            for &e in path.iter() {
                 usage[e] -= 1;
             }
             let from = placement.tile(src);
             let to = placement.tile(dst);
-            paths[k] = dijkstra(grid, from, to, &usage, arch.channel_capacity, penalty);
-            for &e in &paths[k] {
+            search.shortest_path(from, to, &usage, arch.channel_capacity, penalty, path);
+            for &e in path.iter() {
                 usage[e] += 1;
             }
         }
@@ -140,76 +145,92 @@ fn edge_index(grid: usize, a: usize, b: usize) -> usize {
     }
 }
 
+/// The tiles adjacent to `t`, in left, right, up, down order.
 fn neighbors(grid: usize, t: usize) -> impl Iterator<Item = usize> {
     let x = t % grid;
     let y = t / grid;
-    let mut v = Vec::with_capacity(4);
-    if x > 0 {
-        v.push(t - 1);
-    }
-    if x + 1 < grid {
-        v.push(t + 1);
-    }
-    if y > 0 {
-        v.push(t - grid);
-    }
-    if y + 1 < grid {
-        v.push(t + grid);
-    }
-    v.into_iter()
+    [
+        (x > 0).then(|| t - 1),
+        (x + 1 < grid).then(|| t + 1),
+        (y > 0).then(|| t - grid),
+        (y + 1 < grid).then(|| t + grid),
+    ]
+    .into_iter()
+    .flatten()
 }
 
-/// Shortest path (list of edge indices) from tile `from` to `to` under
-/// congestion costs. Same-tile connections return an empty path.
-fn dijkstra(
+/// Dijkstra over the channel graph, its state reused across the searches
+/// of one [`route`] call.
+struct Search {
     grid: usize,
-    from: usize,
-    to: usize,
-    usage: &[u32],
-    capacity: usize,
-    penalty: f64,
-) -> Vec<usize> {
-    if from == to {
-        return Vec::new();
+    dist: Vec<f64>,
+    prev: Vec<Option<usize>>,
+    // Ordered on bit-cast cost, which keeps the heap total-ordered (costs
+    // are non-negative finite).
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl Search {
+    fn new(grid: usize) -> Search {
+        Search {
+            grid,
+            dist: vec![f64::INFINITY; grid * grid],
+            prev: vec![None; grid * grid],
+            heap: BinaryHeap::new(),
+        }
     }
-    let n = grid * grid;
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<usize>> = vec![None; n];
-    dist[from] = 0.0;
-    // Order on bit-cast cost keeps the heap total-ordered (costs are
-    // non-negative finite).
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    heap.push(Reverse((0, from)));
-    while let Some(Reverse((dbits, t))) = heap.pop() {
-        let d = f64::from_bits(dbits);
-        if d > dist[t] {
-            continue;
+
+    /// Shortest path from tile `from` to `to` under congestion costs,
+    /// written into `path` as a list of edge indices. Same-tile
+    /// connections get an empty path.
+    fn shortest_path(
+        &mut self,
+        from: usize,
+        to: usize,
+        usage: &[u32],
+        capacity: usize,
+        penalty: f64,
+        path: &mut Vec<usize>,
+    ) {
+        path.clear();
+        if from == to {
+            return;
         }
-        if t == to {
-            break;
-        }
-        for nb in neighbors(grid, t) {
-            let e = edge_index(grid, t, nb);
-            let over = (usage[e] as f64 + 1.0 - capacity as f64).max(0.0);
-            let cost = 1.0 + penalty * over;
-            let nd = d + cost;
-            if nd < dist[nb] {
-                dist[nb] = nd;
-                prev[nb] = Some(t);
-                heap.push(Reverse((nd.to_bits(), nb)));
+        let grid = self.grid;
+        self.dist.fill(f64::INFINITY);
+        self.prev.fill(None);
+        self.heap.clear();
+        self.dist[from] = 0.0;
+        self.heap.push(Reverse((0, from)));
+        while let Some(Reverse((dbits, t))) = self.heap.pop() {
+            let d = f64::from_bits(dbits);
+            if d > self.dist[t] {
+                continue;
+            }
+            if t == to {
+                break;
+            }
+            for nb in neighbors(grid, t) {
+                let e = edge_index(grid, t, nb);
+                let over = (usage[e] as f64 + 1.0 - capacity as f64).max(0.0);
+                let cost = 1.0 + penalty * over;
+                let nd = d + cost;
+                if nd < self.dist[nb] {
+                    self.dist[nb] = nd;
+                    self.prev[nb] = Some(t);
+                    self.heap.push(Reverse((nd.to_bits(), nb)));
+                }
             }
         }
+        // Reconstruct the edge list.
+        let mut cur = to;
+        while cur != from {
+            let p = self.prev[cur].expect("grid graph is connected");
+            path.push(edge_index(grid, p, cur));
+            cur = p;
+        }
+        path.reverse();
     }
-    // Reconstruct edge list.
-    let mut path = Vec::new();
-    let mut cur = to;
-    while cur != from {
-        let p = prev[cur].expect("grid graph is connected");
-        path.push(edge_index(grid, p, cur));
-        cur = p;
-    }
-    path.reverse();
-    path
 }
 
 #[cfg(test)]
