@@ -8,12 +8,11 @@
 //! The cost is kept incrementally, after VPR's bounding-box cost (Betz &
 //! Rose, FPL 1997). Each routed net's HPWL is cached, and a move
 //! re-measures only the nets of the block it moves and of its swap
-//! partner, a net they share once. HPWL is an integer, so the running
-//! total, and hence every move's cost delta, is exactly what a full
-//! re-measure would give: each accept decision, the RNG stream behind it
-//! and the final placement are those of the from-scratch loop. Debug
-//! builds check the total against [`Placement::hpwl`] after every
-//! temperature stage.
+//! partner, each net once. HPWL is an integer, so the running total, and
+//! hence every move's cost delta, is exactly what a full re-measure would
+//! give: each accept decision, the RNG stream behind it and the final
+//! placement are those of the from-scratch loop. Debug builds check the
+//! total against [`Placement::hpwl`] after every temperature stage.
 
 use crate::arch::{FpgaArch, FpgaFlavor};
 use crate::circuit::{Circuit, Net};
@@ -178,23 +177,23 @@ fn anneal(
         return placement;
     }
 
-    // State built once per call: each block's routed nets (ascending,
-    // each once) and coordinates, each net's cached HPWL and their total,
-    // and each tile's occupants, `FREE`-padded to `slots_per_tile`.
+    // State built once per call: each block's routed nets, each tile's
+    // coordinates, each net's cached HPWL and their total, and each
+    // tile's occupants, `FREE`-padded to `slots_per_tile`.
     let nets = circuit.routed_nets(flavor);
     let mut nets_of: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (k, net) in nets.iter().enumerate() {
         for &b in std::iter::once(&net.source).chain(&net.sinks) {
-            if nets_of[b].last() != Some(&k) {
-                nets_of[b].push(k);
-            }
+            nets_of[b].push(k);
         }
     }
     let tile_xy: Vec<(usize, usize)> = (0..arch.tiles())
         .map(|t| (t % arch.grid, t / arch.grid))
         .collect();
-    let mut xy: Vec<(usize, usize)> = placement.tile_of.iter().map(|&t| tile_xy[t]).collect();
-    let mut net_cost: Vec<usize> = nets.iter().map(|net| net_hpwl(net, |b| xy[b])).collect();
+    let mut net_cost: Vec<usize> = nets
+        .iter()
+        .map(|net| net_hpwl(net, |b| tile_xy[placement.tile_of[b]]))
+        .collect();
     let mut total: usize = net_cost.iter().sum();
     let mut occupants = vec![FREE; arch.tiles() * slots_per_tile];
     for (b, &t) in placement.tile_of.iter().enumerate() {
@@ -235,9 +234,9 @@ fn anneal(
             };
             let swap_with = Some(occupants[target]).filter(|&o| o != FREE);
             // Apply tentatively and re-measure the moved blocks' nets.
-            xy[b] = tile_xy[new_tile];
+            placement.tile_of[b] = new_tile;
             if let Some(o) = swap_with {
-                xy[o] = tile_xy[old_tile];
+                placement.tile_of[o] = old_tile;
             }
             remeasured.clear();
             let (mut removed, mut added) = (0, 0);
@@ -245,7 +244,7 @@ fn anneal(
                 for &k in &nets_of[moved] {
                     if measured_in[k] != move_no {
                         measured_in[k] = move_no;
-                        let h = net_hpwl(nets[k], |p| xy[p]);
+                        let h = net_hpwl(nets[k], |p| tile_xy[placement.tile_of[p]]);
                         removed += net_cost[k];
                         added += h;
                         remeasured.push((k, h));
@@ -267,15 +266,11 @@ fn anneal(
                 // b's old slot takes the partner, or falls free.
                 occupants[b_slot] = occupants[target];
                 occupants[target] = b;
-                placement.tile_of[b] = new_tile;
-                if let Some(o) = swap_with {
-                    placement.tile_of[o] = old_tile;
-                }
             } else {
                 // Revert.
-                xy[b] = tile_xy[old_tile];
+                placement.tile_of[b] = old_tile;
                 if let Some(o) = swap_with {
-                    xy[o] = tile_xy[new_tile];
+                    placement.tile_of[o] = new_tile;
                 }
             }
         }
