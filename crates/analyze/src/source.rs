@@ -125,16 +125,6 @@ impl SourceFile {
         (0..self.tokens.len()).filter(|&i| self.tokens[i].is_significant())
     }
 
-    /// The next significant token index strictly after `i`.
-    pub fn next_significant(&self, i: usize) -> Option<usize> {
-        ((i + 1)..self.tokens.len()).find(|&j| self.tokens[j].is_significant())
-    }
-
-    /// The previous significant token index strictly before `i`.
-    pub fn prev_significant(&self, i: usize) -> Option<usize> {
-        (0..i).rev().find(|&j| self.tokens[j].is_significant())
-    }
-
     /// Token text helper.
     pub fn text_of(&self, i: usize) -> &str {
         self.tokens[i].text(&self.text)

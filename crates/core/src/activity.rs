@@ -13,7 +13,7 @@
 use crate::pla::GnorPla;
 use cnfet::EnergyModel;
 use logic::ops::minterm_count;
-use logic::{Cover, Cube, Tri};
+use logic::Cover;
 
 /// Exact per-line switching activities of a PLA under uniform inputs.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,11 +28,6 @@ impl ActivityReport {
     /// Mean product-line activity.
     pub fn mean_product_activity(&self) -> f64 {
         mean(&self.product_activity)
-    }
-
-    /// Mean output-line activity.
-    pub fn mean_output_activity(&self) -> f64 {
-        mean(&self.output_activity)
     }
 }
 
@@ -100,13 +95,6 @@ pub fn pla_energy_exact(pla: &GnorPla, cover: &Cover, model: &EnergyModel) -> f6
         energy += a * model.line_switch_energy(dims.products, 1);
     }
     energy
-}
-
-/// A degenerate cube helper used by tests: the full cube over `n` inputs.
-#[doc(hidden)]
-pub fn full_cube(n: usize) -> Cube {
-    let tris = vec![Tri::DontCare; n];
-    Cube::from_tris(&tris, &[true])
 }
 
 #[cfg(test)]

@@ -158,9 +158,8 @@ impl Crossbar {
     }
 
     /// The horizontal wire driving each vertical wire, or `None` for a
-    /// floating vertical — the electrical structure both routing flavors
-    /// ([`route`](Crossbar::route) / [`route_block`](Crossbar::route_block))
-    /// copy values along.
+    /// floating vertical — the electrical structure [`route`](Crossbar::route)
+    /// copies values along.
     ///
     /// # Errors
     ///
@@ -199,74 +198,6 @@ impl Crossbar {
             .into_iter()
             .map(|d| d.map(|h| values[h]))
             .collect())
-    }
-
-    /// [`route`](Crossbar::route) for 64-lane signal words: each vertical
-    /// wire carries its driver's whole lane word (pass transistors are
-    /// polarity-agnostic wires, so routing is lane-independent).
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::MultipleDrivers`] if a vertical wire is connected to
-    /// more than one horizontal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len() != horizontals()`.
-    pub fn route_block(&self, words: &[u64]) -> Result<Vec<Option<u64>>, RouteError> {
-        assert_eq!(words.len(), self.horizontals, "driver arity mismatch");
-        Ok(self
-            .driver_map()?
-            .into_iter()
-            .map(|d| d.map(|h| words[h]))
-            .collect())
-    }
-
-    /// Width-generic [`route_block`](Crossbar::route_block): each
-    /// horizontal wire carries `words` signal-major lane words
-    /// (`signals[h·words + w]`), and each vertical wire receives its
-    /// driver's whole word group into `out[v·words .. (v+1)·words]`.
-    /// Floating verticals are zero-filled (callers that care about
-    /// floats — like [`crate::PlaNetwork`]'s builder — detect them once
-    /// via [`driver_map`](Crossbar::driver_map) instead of per block).
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::MultipleDrivers`] if a vertical wire is connected to
-    /// more than one horizontal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words == 0`, `signals.len() != horizontals() × words`,
-    /// or `out.len() != verticals() × words`.
-    pub fn route_words(
-        &self,
-        signals: &[u64],
-        out: &mut [u64],
-        words: usize,
-    ) -> Result<(), RouteError> {
-        assert!(words > 0, "at least one lane word per signal");
-        assert_eq!(
-            signals.len(),
-            self.horizontals * words,
-            "driver arity mismatch"
-        );
-        assert_eq!(
-            out.len(),
-            self.verticals * words,
-            "output buffer size mismatch"
-        );
-        for (d, orow) in self
-            .driver_map()?
-            .into_iter()
-            .zip(out.chunks_exact_mut(words))
-        {
-            match d {
-                Some(h) => orow.copy_from_slice(&signals[h * words..(h + 1) * words]),
-                None => orow.fill(0),
-            }
-        }
-        Ok(())
     }
 
     /// The PG-level map (horizontal-major) the configuration protocol
@@ -364,51 +295,6 @@ mod tests {
         xbar.connect(1, 0);
         assert_eq!(
             xbar.route(&[true, false]),
-            Err(RouteError::MultipleDrivers { vertical: 0 })
-        );
-    }
-
-    #[test]
-    fn route_words_matches_route_per_lane() {
-        // Permutation + one float: every lane word of route_words must
-        // carry its driver's word (floats zero-filled), agreeing with
-        // per-lane scalar route on every lane at every width.
-        let mut xbar = Crossbar::new(3, 4);
-        xbar.connect(0, 2);
-        xbar.connect(1, 0);
-        xbar.connect(2, 1); // vertical 3 floats
-        for words in [1usize, 3] {
-            let signals: Vec<u64> = (0..3 * words as u64)
-                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                .collect();
-            let mut out = vec![0u64; 4 * words];
-            xbar.route_words(&signals, &mut out, words).unwrap();
-            for lane in 0..words * 64 {
-                let (w, bit) = (lane / 64, lane % 64);
-                let drivers: Vec<bool> = (0..3)
-                    .map(|h| signals[h * words + w] >> bit & 1 == 1)
-                    .collect();
-                let scalar = xbar.route(&drivers).unwrap();
-                for (v, &expect) in scalar.iter().enumerate() {
-                    assert_eq!(
-                        out[v * words + w] >> bit & 1 == 1,
-                        // Floating verticals read as 0 at the word level.
-                        expect.unwrap_or(false),
-                        "words {words} lane {lane} vertical {v}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn route_words_reports_shorts() {
-        let mut xbar = Crossbar::new(2, 1);
-        xbar.connect(0, 0);
-        xbar.connect(1, 0);
-        let mut out = vec![0u64; 2];
-        assert_eq!(
-            xbar.route_words(&[1, 2, 3, 4], &mut out, 2),
             Err(RouteError::MultipleDrivers { vertical: 0 })
         );
     }

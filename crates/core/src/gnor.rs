@@ -126,15 +126,6 @@ impl GnorGate {
         &self.controls
     }
 
-    /// Set the control of input `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn set_control(&mut self, i: usize, c: InputPolarity) {
-        self.controls[i] = c;
-    }
-
     /// Number of participating (non-dropped) inputs.
     pub fn active_inputs(&self) -> usize {
         self.controls.iter().filter(|c| c.is_active()).count()
@@ -191,19 +182,6 @@ impl GnorGate {
         for o in out.iter_mut() {
             *o = !*o;
         }
-    }
-
-    /// Bit-parallel evaluation over 64 lanes: word `inputs[i]` carries
-    /// input `i` of every lane, and the returned word carries the gate
-    /// output per lane — [`GnorGate::evaluate_words`] with `words = 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != width()`.
-    pub fn evaluate_batch(&self, inputs: &[u64]) -> u64 {
-        let mut out = [0u64];
-        self.evaluate_words(inputs, &mut out, 1);
-        out[0]
     }
 
     /// The PG levels programming this gate's input devices.

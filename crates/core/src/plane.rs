@@ -74,15 +74,6 @@ impl GnorPlane {
         &self.rows[row]
     }
 
-    /// Mutable access to the gate at `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn gate_mut(&mut self, row: usize) -> &mut GnorGate {
-        &mut self.rows[row]
-    }
-
     /// Iterate over the gates.
     pub fn gates(&self) -> impl Iterator<Item = &GnorGate> {
         self.rows.iter()
@@ -117,19 +108,6 @@ impl GnorPlane {
         for (g, row) in self.rows.iter().zip(out.chunks_exact_mut(words)) {
             g.evaluate_words(inputs, row, words);
         }
-    }
-
-    /// Bit-parallel evaluation over 64 lanes: one word per input column in,
-    /// one word per row out — [`GnorPlane::evaluate_words`] with
-    /// `words = 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != cols()`.
-    pub fn evaluate_batch(&self, inputs: &[u64]) -> Vec<u64> {
-        let mut out = vec![0u64; self.rows.len()];
-        self.evaluate_words(inputs, &mut out, 1);
-        out
     }
 
     /// Number of programmed (non-`V0`) devices — the used crosspoints.

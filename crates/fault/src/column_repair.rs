@@ -51,13 +51,6 @@ pub struct ColumnRepairedPla {
 }
 
 impl ColumnRepairedPla {
-    /// Simulate the repaired array on *logical* inputs (the interconnect
-    /// permutation is applied here).
-    pub fn simulate_logical(&self, inputs: &[bool]) -> Vec<bool> {
-        let phys = self.physical_inputs(inputs);
-        self.pla.simulate(&phys)
-    }
-
     /// The repaired array fault-simulated under `defects` as a servable
     /// [`Simulator`] over *logical* inputs: the interconnect permutation
     /// is applied inside `eval_words`, so the view drops straight into

@@ -141,8 +141,7 @@ impl MappedNetwork {
     /// Convert into a routable [`Circuit`]: one circuit block per mapped
     /// block, block-to-block nets from the mux structure. (Primary-input
     /// fanout is local to the tile in this model and not routed.)
-    pub fn to_circuit(&self, complement_fraction_hint: f64) -> Circuit {
-        let _ = complement_fraction_hint;
+    pub fn to_circuit(&self) -> Circuit {
         let mut nets = Vec::new();
         for (idx, block) in self.blocks.iter().enumerate() {
             if let Block::Mux { hi, lo, .. } = block {
@@ -334,7 +333,7 @@ mod tests {
     fn to_circuit_is_routable_shape() {
         let f = cover("111111 1\n000000 1\n101010 1\n010101 1", 6, 1);
         let net = MappedNetwork::decompose(&f, 3);
-        let circuit = net.to_circuit(0.9);
+        let circuit = net.to_circuit();
         assert_eq!(circuit.n_blocks(), net.n_blocks());
         // Mux blocks each contribute two incoming nets.
         let mux_count = net

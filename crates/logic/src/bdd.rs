@@ -84,11 +84,6 @@ impl Bdd {
         self.n_vars
     }
 
-    /// Live node count (including terminals).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     fn mk(&mut self, var: u32, lo: Ref, hi: Ref) -> Ref {
         if lo == hi {
             return lo;

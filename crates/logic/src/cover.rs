@@ -371,13 +371,6 @@ impl Cover {
         assert_eq!(self.n_outputs, 1, "complement is defined per output");
         urp::complement(self)
     }
-
-    /// Sort cubes by descending size (don't-care count), the order ESPRESSO
-    /// prefers for EXPAND.
-    pub fn sort_by_size_desc(&mut self) {
-        self.cubes
-            .sort_by_key(|c| std::cmp::Reverse(self.n_inputs - c.literal_count()));
-    }
 }
 
 impl fmt::Debug for Cover {

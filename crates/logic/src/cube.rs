@@ -438,17 +438,6 @@ impl Cube {
         (0..self.n_inputs).all(|i| self.input(i) == Tri::DontCare)
     }
 
-    /// Replace the output part with `other`'s output part.
-    pub fn with_outputs_of(&self, other: &Cube) -> Cube {
-        self.check_dims(other);
-        Cube {
-            n_inputs: self.n_inputs,
-            n_outputs: self.n_outputs,
-            input: self.input.clone(),
-            output: other.output.clone(),
-        }
-    }
-
     /// True if the cube's input part covers the packed minterm `bits`.
     pub fn covers_bits(&self, bits: u64) -> bool {
         debug_assert!(self.n_inputs <= 64);

@@ -132,4 +132,4 @@ pub use stats::{
     AtomicHistogram, EpochSnapshot, EpochStats, FlushCause, HistogramSnapshot, RegSnapshot,
     RegStats, ServiceStats, StatsSnapshot, Tier,
 };
-pub use sweep::{eval_covers_blocked, eval_sims_blocked};
+pub use sweep::eval_sims_blocked;

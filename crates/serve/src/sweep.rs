@@ -13,18 +13,15 @@
 //!
 //! Like the online service, the sweep is backend-agnostic:
 //! [`eval_sims_blocked`] takes `&dyn Simulator` jobs (mix covers, PLAs,
-//! faulty arrays and FPGA mappings in one call), and
-//! [`eval_covers_blocked`] is the cover-owning convenience wrapper the
-//! original API shipped.
+//! faulty arrays and FPGA mappings in one call).
 
 use ambipla_core::{Simulator, WorkerPool};
 use logic::eval::{pack_vectors_words, unpack_lane_words, LANES, SWEEP_WORDS};
-use logic::Cover;
 
 /// Evaluate one simulator's vectors, `SWEEP_WORDS × 64` lanes at a time
-/// with buffers reused across blocks — the shared body of both sweep
-/// entry points. Only the valid lanes of the (possibly partial) tail
-/// block are unpacked — the `logic::eval::lane_mask` contract.
+/// with buffers reused across blocks. Only the valid lanes of the
+/// (possibly partial) tail block are unpacked — the
+/// `logic::eval::lane_mask` contract.
 fn eval_blocked_one(sim: &dyn Simulator, vectors: &[u64]) -> Vec<Vec<bool>> {
     let (n, o) = (sim.n_inputs(), sim.n_outputs());
     let mut packed = vec![0u64; n * SWEEP_WORDS];
@@ -54,16 +51,11 @@ pub fn eval_sims_blocked(
     pool.map(jobs, |_, (sim, vectors)| eval_blocked_one(*sim, vectors))
 }
 
-/// [`eval_sims_blocked`] for jobs that own plain covers — the original
-/// cover-only API, kept as a convenience wrapper.
-pub fn eval_covers_blocked(jobs: &[(Cover, Vec<u64>)], pool: &WorkerPool) -> Vec<Vec<Vec<bool>>> {
-    pool.map(jobs, |_, (cover, vectors)| eval_blocked_one(cover, vectors))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ambipla_core::GnorPla;
+    use logic::Cover;
 
     fn test_jobs() -> Vec<(Cover, Vec<u64>)> {
         let covers = [
@@ -88,18 +80,22 @@ mod tests {
 
     #[test]
     fn sharded_bulk_eval_matches_scalar_loop() {
-        let jobs = test_jobs();
-        let sequential = eval_covers_blocked(&jobs, &WorkerPool::new(1));
+        let covers = test_jobs();
+        let jobs: Vec<(&(dyn Simulator + Sync), Vec<u64>)> = covers
+            .iter()
+            .map(|(cover, vectors)| (cover as &(dyn Simulator + Sync), vectors.clone()))
+            .collect();
+        let sequential = eval_sims_blocked(&jobs, &WorkerPool::new(1));
         for threads in [2, 3, 8] {
             assert_eq!(
                 sequential,
-                eval_covers_blocked(&jobs, &WorkerPool::new(threads)),
+                eval_sims_blocked(&jobs, &WorkerPool::new(threads)),
                 "{threads} threads"
             );
         }
-        for (job, results) in jobs.iter().zip(&sequential) {
-            for (&bits, outputs) in job.1.iter().zip(results) {
-                assert_eq!(outputs, &job.0.eval_bits(bits));
+        for ((cover, vectors), results) in covers.iter().zip(&sequential) {
+            for (&bits, outputs) in vectors.iter().zip(results) {
+                assert_eq!(outputs, &cover.eval_bits(bits));
             }
         }
     }

@@ -21,7 +21,7 @@ fn cover_to_clbs_to_routed_fpga() {
     assert!(net.implements(&f), "mapping must preserve the function");
     assert!(net.n_blocks() > 1, "6 inputs at k=4 must split");
 
-    let circuit = net.to_circuit(0.9);
+    let circuit = net.to_circuit();
     let arch = FpgaArch::sized_for(circuit.n_blocks(), 0.99);
     let mut timings = Vec::new();
     for flavor in [FpgaFlavor::Standard, FpgaFlavor::CnfetPla] {
@@ -48,7 +48,7 @@ fn mapped_circuit_through_table2_harness() {
     .unwrap();
     let net = MappedNetwork::decompose(&f, 3);
     assert!(net.implements(&f));
-    let circuit = net.to_circuit(0.9);
+    let circuit = net.to_circuit();
     let arch = FpgaArch::sized_for(circuit.n_blocks(), 0.99);
     let std_r = emulate(&circuit, &arch, FpgaFlavor::Standard, 1);
     let cn_r = emulate(&circuit, &arch, FpgaFlavor::CnfetPla, 1);
