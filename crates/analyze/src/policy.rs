@@ -63,7 +63,7 @@ pub const PANIC_POLICIES: &[PanicPolicy] = &[
             "flush",
             "account",
             "answer_from_table",
-            "promote",
+            "materialize",
             "batcher_loop",
         ],
         reason: "the flush path drains every registered sim; a panic wedges the batcher thread",

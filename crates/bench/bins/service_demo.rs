@@ -20,11 +20,11 @@
 //! 6. Puts the TCP front end (`ambipla_net`) in front of a two-shard
 //!    service on loopback: two tenants, verified replies, a rate-limited
 //!    tenant driven into quota rejection, per-tenant counters checked.
-//! 7. Drives a 12-input sim past the default auto-tiering threshold and
-//!    prints the before/after ns-per-request split: the ramp is served
-//!    by batched `eval_words` flushes (plus the one-time truth-table
-//!    build at promotion), the steady state by O(1) indexed lookups
-//!    from the materialized table ([`Tier::Materialized`]).
+//! 7. Serves the same 12-input PLA twice — with the truth-table tier
+//!    disabled, and under the default policy — and prints both
+//!    ns-per-request figures: batched `eval_words` flushes against O(1)
+//!    indexed lookups from the table built at registration
+//!    ([`Tier::Materialized`]).
 //!
 //! Any mismatch panics (non-zero exit); the happy path prints the service
 //! stats table. Run:
@@ -33,8 +33,8 @@
 use ambipla_core::{EpochOracle, GnorPla};
 use ambipla_net::{Frame, NetClient, NetConfig, NetServer, QuotaConfig, TenantId};
 use ambipla_serve::{
-    eval_sims_blocked, reply_channel, shard_for_key, ServeConfig, SharedSim, SimKey, SimService,
-    Simulator, Tier, WorkerPool,
+    eval_sims_blocked, reply_channel, shard_for_key, ServeConfig, SharedSim, SimId, SimKey,
+    SimService, Simulator, Tier, TierPolicy, WorkerPool,
 };
 use fault::{repair_with_columns, ColumnRepairOutcome, DefectKind, DefectMap, FaultyGnorPla};
 use std::sync::Arc;
@@ -55,8 +55,14 @@ fn main() {
     println!();
 
     // ---- 1. Online: multi-threaded clients against the batcher. --------
+    // Sections 1-3 serve batched, so the stats table shows lane packing
+    // and every swap drains; section 7 shows the truth-table tier.
     let covers: Vec<logic::Cover> = mcnc::registry().into_iter().map(|b| b.on).collect();
-    let service = SimService::with_defaults();
+    let service = SimService::start(ServeConfig {
+        tier_policy: TierPolicy::Disabled,
+        ..ServeConfig::default()
+    })
+    .expect("valid config");
     let ids: Vec<_> = covers.iter().map(|c| service.register(c.clone())).collect();
 
     let started = Instant::now();
@@ -386,44 +392,40 @@ fn main() {
     server.shutdown();
     println!();
 
-    // ---- 7. Tiered evaluation: auto-promotion on a small hot sim. ------
-    // A 12-input / 8-output PLA under the *default* auto-tiering policy:
-    // the first `tier_min_requests` lanes ride the batched path (every
-    // sub-block a fresh pattern, so each flush pays a real `eval_words`),
-    // the promotion builds the 4 KiB packed truth table once, and the
-    // steady state afterwards answers every lane by indexed load.
+    // ---- 7. Tiered evaluation: one small sim, batched and tabled. -----
+    // A 12-input / 8-output PLA served by a service with the tier
+    // disabled, where every block pays a real `eval_words`, and by a
+    // default service, which builds the 4 KiB packed truth table at
+    // registration and answers every request by indexed load. Both get
+    // the same request stream.
     let hot_cover = mcnc::RandomPla::new(12, 8, 1024)
         .seed(3)
         .literal_density(0.35)
         .build();
     let hot_pla = GnorPla::from_cover(&hot_cover);
-    let tier_service = SimService::with_defaults();
-    let tid = tier_service.register_sim(Arc::new(hot_pla.clone()), SimKey::new(0x712));
-    assert_eq!(tier_service.stats_for(tid).tier, Tier::Batched);
-    // +64 lanes past the floor so the promoting flush is strictly before
-    // the last one — the tier read below is then race-free.
-    let floor = ServeConfig::default().tier_min_requests + 64;
+    let requests = 4096u64;
     // A golden-ratio walk over the 12-bit input space, so the batched
-    // ramp evaluates a spread of patterns rather than one repeated block.
+    // service evaluates a spread of patterns rather than one repeated
+    // block.
     let bits_of = |i: u64| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 12) & input_mask(12);
     // Verification oracle: an independently built table for the bulk of
     // the replies (O(1) per check, so it stays out of the measurement's
     // way), with one scalar `simulate_bits` spot-check per block.
     let oracle = ambipla_core::TruthTable::from_simulator(&hot_pla);
-    let run_phase = |offset: u64| -> f64 {
+    let run_phase = |service: &SimService, id: SimId| -> f64 {
         let (sink, stream) = reply_channel();
         let t0 = Instant::now();
-        for i in offset..offset + floor {
-            tier_service.submit_tagged(tid, bits_of(i), i, &sink);
+        for i in 0..requests {
+            service.submit_tagged(id, bits_of(i), i, &sink);
         }
-        let replies: Vec<_> = (0..floor).map(|_| stream.recv()).collect();
-        let ns = t0.elapsed().as_nanos() as f64 / floor as f64;
+        let replies: Vec<_> = (0..requests).map(|_| stream.recv()).collect();
+        let ns = t0.elapsed().as_nanos() as f64 / requests as f64;
         for reply in replies {
             let bits = bits_of(reply.tag);
             assert_eq!(
                 reply.outputs,
                 oracle.lookup_bits(bits),
-                "tiered registration answered wrong for request {}",
+                "tier demo answered wrong for request {}",
                 reply.tag
             );
             if reply.tag % 64 == 0 {
@@ -432,21 +434,34 @@ fn main() {
         }
         ns
     };
-    let ramp_ns = run_phase(0);
+    let batched_service = SimService::start(ServeConfig {
+        tier_policy: TierPolicy::Disabled,
+        ..ServeConfig::default()
+    })
+    .expect("valid config");
+    let bid = batched_service.register_sim(Arc::new(hot_pla.clone()), SimKey::new(0x712));
+    let batched_ns = run_phase(&batched_service, bid);
+    assert_eq!(batched_service.stats_for(bid).tier, Tier::Batched);
+    batched_service.shutdown();
+    let table_service = SimService::with_defaults();
+    let tid = table_service.register_sim(Arc::new(hot_pla.clone()), SimKey::new(0x712));
+    // register_sim returns before the batcher has built the table, so
+    // read the tier after a first reply, and keep the ~1 ms build out of
+    // the timed phase.
+    assert_eq!(table_service.submit(tid, 0).wait(), oracle.lookup_bits(0));
     assert_eq!(
-        tier_service.stats_for(tid).tier,
+        table_service.stats_for(tid).tier,
         Tier::Materialized,
-        "{floor} single-lane requests past a 12-input sim must trip the default \
-         auto-tiering threshold"
+        "the default policy must materialize a 12-input sim at registration"
     );
-    let steady_ns = run_phase(floor);
-    tier_service.shutdown();
+    let table_ns = run_phase(&table_service, tid);
+    table_service.shutdown();
     println!(
-        "tiered evaluation: 12-input sim auto-promoted after {floor} requests — \
-         ramp {ramp_ns:.0} ns/request (batched eval + one-time table build), \
-         steady state {steady_ns:.0} ns/request (materialized, O(1) indexed), \
+        "tiered evaluation: the same 12-input PLA, {requests} requests each — \
+         batched {batched_ns:.0} ns/request (one eval_words per block), \
+         materialized {table_ns:.0} ns/request (table built at registration, O(1) indexed), \
          {:.1}x",
-        ramp_ns / steady_ns
+        batched_ns / table_ns
     );
 
     println!();

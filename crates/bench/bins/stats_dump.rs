@@ -14,10 +14,11 @@
 //! output, so CI can pipe it straight into a validator. The workload
 //! guarantees the properties the smoke step greps for: at least three
 //! registrations, at least one registration with three epochs (two hot
-//! swaps), a rejected submission (queue-full), one
-//! registration driven past the default auto-tiering threshold (so the
-//! `ambipla_tier` family carries both a `tier="batched"` and a
-//! `tier="materialized"` sample), and — via
+//! swaps), a rejected submission (queue-full) against a 13-input
+//! registration too wide for the truth-table tier, small registrations
+//! that the default policy materializes (so the `ambipla_tier` family
+//! carries both a `tier="batched"` and a `tier="materialized"` sample),
+//! and — via
 //! a loopback [`NetServer`] workload — tenant-labeled front-end
 //! families with a non-zero quota rejection. The scrape concatenates
 //! `SimService::metric_families` (10 families) with
@@ -26,12 +27,14 @@
 use ambipla_core::GnorPla;
 use ambipla_net::{Frame, NetClient, NetConfig, NetServer, QuotaConfig, TenantId};
 use ambipla_obs::{json_text, prometheus_text, EventKind, EventRing};
-use ambipla_serve::{reply_channel, ServeConfig, SimKey, SimService, Tier};
+use ambipla_serve::{ServeConfig, SimKey, SimService, Tier};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn workload(service: &SimService) {
-    let xor = logic::Cover::parse("10 1\n01 1", 2, 1).expect("valid cover");
+    // Inputs 0 and 1 xored, 11 more inputs ignored: 13 inputs keep it
+    // batched, above the tier's 12-input limit.
+    let xor = logic::Cover::parse("10----------- 1\n01----------- 1", 13, 1).expect("valid cover");
     let adder = logic::Cover::parse(
         "110 01\n101 01\n011 01\n111 01\n100 10\n010 10\n001 10\n111 10",
         3,
@@ -88,25 +91,20 @@ fn workload(service: &SimService) {
     }
     assert!(rejected > 0, "workload must exercise backpressure");
 
-    // Drive a fourth registration past the *default* auto-tiering
-    // threshold (tier_min_requests lanes served, eval spend ≥ 2^3), so
-    // the scrape shows a `tier="materialized"` series next to the three
-    // batched ones and the event ring records the promotion.
+    // A fourth small registration: the default policy materializes it
+    // as the batcher handles the registration, so the scrape shows a
+    // `tier="materialized"` series next to the batched xor and the event
+    // ring records the table build.
     let majority2 = logic::Cover::parse("11- 1\n1-1 1\n-11 1", 3, 1).expect("valid cover");
     let d = service.register_sim(Arc::new(majority2.clone()), SimKey::new(100));
-    let (sink, stream) = reply_channel();
-    let floor = ServeConfig::default().tier_min_requests + 64;
-    for i in 0..floor {
-        service.submit_tagged(d, i % 8, i, &sink);
+    for bits in 0..8u64 {
+        assert_eq!(service.submit(d, bits).wait(), majority2.eval_bits(bits));
     }
-    for _ in 0..floor {
-        let reply = stream.recv();
-        assert_eq!(reply.outputs, majority2.eval_bits(reply.tag % 8));
-    }
+    // Read after a reply: register_sim returns before the table is built.
     assert_eq!(
         service.stats_for(d).tier,
         Tier::Materialized,
-        "the hot small registration must have been promoted"
+        "the small registration must be served from its table"
     );
 }
 
@@ -185,16 +183,16 @@ fn main() {
                 .iter()
                 .filter(|e| matches!(e.kind, EventKind::Swap { .. }))
                 .count();
-            let promotions = events
+            let builds = events
                 .iter()
                 .filter(|e| matches!(e.kind, EventKind::TierPromote { .. }))
                 .count();
             println!(
-                "# ---- events: {} recorded ({} dropped), {} swaps, {} tier promotions ----",
+                "# ---- events: {} recorded ({} dropped), {} swaps, {} table builds ----",
                 events.len(),
                 ring.dropped(),
                 swaps,
-                promotions
+                builds
             );
         }
     }

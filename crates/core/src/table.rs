@@ -20,8 +20,8 @@
 //!   which is what lets `sim::check_equivalent` answer small-`n`
 //!   equivalence queries by table compare,
 //! * [`table_bytes`] prices a would-be table without building it — the
-//!   number the `ambipla_serve` auto-tiering policy checks against its
-//!   `tier_max_table_bytes` budget.
+//!   number the `ambipla_serve` tier checks against its 1 MiB budget
+//!   before materializing a registration.
 //!
 //! # Layout
 //!

@@ -49,9 +49,6 @@ use crate::tenant::{QuotaConfig, TenantId, TenantRegistry, TenantSnapshot, Tenan
 pub struct NetConfig {
     /// Quota handed to tenants on first hello (default: unlimited).
     pub default_quota: QuotaConfig,
-    /// Deficit-round-robin quantum: how many requests one tenant may
-    /// dispatch per scheduling turn before the next tenant runs.
-    pub quantum: usize,
     /// Per-tenant cap on requests waiting in the scheduler; admissions
     /// beyond it are rejected as `QueueFull` before reaching the
     /// service.
@@ -62,11 +59,14 @@ impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
             default_quota: QuotaConfig::unlimited(),
-            quantum: 64,
             tenant_pending: 4096,
         }
     }
 }
+
+/// Deficit-round-robin quantum: how many requests one tenant may
+/// dispatch per scheduling turn before the next tenant runs.
+const DRR_QUANTUM: usize = 64;
 
 /// An exposed registration: service id plus its input mask.
 #[derive(Debug, Clone, Copy)]
@@ -437,7 +437,7 @@ impl NetServer {
             service,
             routes: RwLock::new(HashMap::new()),
             tenants: TenantRegistry::new(config.default_quota),
-            sched: Scheduler::new(config.quantum, config.tenant_pending),
+            sched: Scheduler::new(DRR_QUANTUM, config.tenant_pending),
             recorder,
             stop: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
@@ -866,7 +866,7 @@ fn write_loop(mut stream: TcpStream, outbox: &Outbox) {
 mod tests {
     use super::*;
     use crate::client::NetClient;
-    use ambipla_serve::{reply_channel, ServeConfig};
+    use ambipla_serve::{reply_channel, ServeConfig, TierPolicy};
     use logic::Cover;
     use std::time::{Duration, Instant};
 
@@ -874,11 +874,14 @@ mod tests {
         Cover::parse("10 1\n01 1", 2, 1).expect("xor cover")
     }
 
+    /// A batched service: these tests drive the wire, the scheduler and
+    /// the service's queue bound, not the truth-table tier.
     fn service(shards: usize) -> Arc<SimService> {
         Arc::new(
             SimService::start(ServeConfig {
                 shards,
                 max_wait: Duration::from_micros(100),
+                tier_policy: TierPolicy::Disabled,
                 ..ServeConfig::default()
             })
             .expect("valid config"),
@@ -1058,8 +1061,11 @@ mod tests {
         let service = Arc::new(
             SimService::start(ServeConfig {
                 queue_depth: 1,
-                // The first request holds the only queue slot throughout.
+                // The first request holds the only queue slot throughout:
+                // batched, it waits out the deadline instead of being
+                // answered from a table.
                 max_wait: Duration::from_secs(10),
+                tier_policy: TierPolicy::Disabled,
                 ..ServeConfig::default()
             })
             .expect("valid config"),

@@ -4,7 +4,7 @@
 //! [`EventRing`](crate::EventRing) can store them inline without
 //! allocation. The vocabulary covers the serve layer's state transitions
 //! (registrations, epoch-bumping hot swaps, block flushes, backpressure
-//! rejections, truth-table tier promotions) and the net front
+//! rejections, truth-table builds) and the net front
 //! end's connection lifecycle (accepts, disconnects, tenant quota
 //! rejections); producers stamp each
 //! event with [`monotonic_ns`] **at the record site**, and only when a
@@ -113,15 +113,15 @@ pub enum EventKind {
         /// Registration slot index.
         slot: u32,
     },
-    /// A registration was promoted to the materialized tier: its backend
-    /// was swept exhaustively into a packed truth table, and every
-    /// subsequent flush under `epoch` answers by indexed load (serve
-    /// layer's auto-tiering, or a forced-tier configuration).
+    /// A registration's backend was swept exhaustively into a packed
+    /// truth table, and every later request under `epoch` is answered by
+    /// indexed load (serve layer's materialized tier: at registration and
+    /// after every hot swap).
     TierPromote {
         /// Registration slot index.
         slot: u32,
-        /// Epoch whose backend was materialized (a hot swap drops the
-        /// table and re-materializes under the new epoch).
+        /// Epoch whose backend was materialized (a hot swap replaces the
+        /// table with one built under the new epoch).
         epoch: u64,
         /// The backend's input count (`2^inputs` assignments were swept).
         inputs: u32,

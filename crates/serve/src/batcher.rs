@@ -74,46 +74,38 @@
 //! [`TruthTable`] than from any batched evaluation: one exhaustive sweep
 //! materializes all `2^n` answers into packed words, and every later
 //! request is answered **on arrival** by indexed load — no wait for
-//! `max_wait`, no packing, no backend call. Each
-//! registration therefore carries a **tier** ([`Tier::Batched`] or
-//! [`Tier::Materialized`]) governed by [`ServeConfig::tier_policy`]:
+//! `max_wait`, no packing, no backend call. Each registration is served
+//! by one **tier** ([`Tier::Batched`] or [`Tier::Materialized`]), chosen
+//! by [`ServeConfig::tier_policy`]:
 //!
-//! * [`TierPolicy::Auto`] (default) promotes a registration once its
-//!   observed evaluation spend provably exceeds the one-time sweep cost.
-//!   With per-lane backend cost `c`, the traffic so far has cost
-//!   `c × eval_lanes` (lanes the backend actually evaluated, `words × 64`
-//!   per flush) and the sweep costs `c × 2^n`, so "measured eval
-//!   cost × traffic ≥ materialization cost" reduces exactly to the lane
-//!   count `eval_lanes ≥ 2^n` — no timing on the hot path. The
-//!   [`ServeConfig::tier_min_requests`] floor keeps one-shot
-//!   registrations batched. Only traffic flushes (`Full`, `Deadline`)
-//!   can promote: a swap or shutdown drain ends the backend's service,
-//!   so a table built then would never answer a request.
-//! * [`TierPolicy::Forced`] materializes every eligible registration at
-//!   registration time (and re-materializes on every swap).
+//! * [`TierPolicy::Forced`] (default) materializes every eligible
+//!   registration at registration and again before every swap ack;
 //! * [`TierPolicy::Disabled`] never materializes.
 //!
-//! Eligibility is bounded twice: `n_inputs ≤ tier_max_inputs` and
-//! [`table_bytes`]`(n, outputs) ≤ tier_max_table_bytes` — an oversized
-//! backend silently stays batched (the memory guard), while
-//! contradictory knob combinations are refused up front by
-//! [`ServeConfig::validate`].
+//! A backend is eligible when it has at most 12 inputs and its
+//! [`table_bytes`] price is at most 1 MiB (a 12-input table of up to
+//! 2048 outputs); a wider or larger backend always stays batched. The
+//! price of eligibility is one exhaustive sweep at registration and
+//! another before every [`swap_sim`](SimService::swap_sim) returns:
+//! 2.9 µs for a 9-input, 1-output, 46-product GNOR PLA, ~5 ms for a
+//! 12-input, 16-output, 2048-product one (2-vCPU host), and more with
+//! more outputs. `Disabled` is the choice for wide, cold or
+//! often-swapped backends that would pay that sweep more often than
+//! their table answers requests.
 //!
 //! The tier preserves every contract above. A table answer is accounted
 //! as a full one-lane block that waited 0 ns (one [`EventKind::Flush`]
 //! with `lanes: 1, words: 0`), and it leaves the pending gauge before its
 //! reply is delivered, so lane occupancy and the flush-event lane total
 //! mean what they mean for batched blocks. A materialized registration
-//! never holds a queue: promotion (after a full or deadline flush),
-//! re-materialization (after a swap's drain) and Forced registration all
-//! happen while its queue is empty, so each request is answered under the
-//! epoch current when it arrives. A hot swap **drops the stale table,
-//! then re-materializes under the new epoch** before `swap_sim` returns
-//! (Auto re-materializes if the slot was materialized; Forced always), so
-//! a materialized registration is bit-identical to a batched one across
-//! its whole epoch history. Promotions are announced via
-//! [`EventKind::TierPromote`] and visible as [`RegSnapshot::tier`] / the
-//! `ambipla_tier` metric family.
+//! never holds a queue: the table is built while the queue is empty (at
+//! registration, before any request; at a swap, after the drain), so each
+//! request is answered under the epoch current when it arrives. A hot
+//! swap **replaces the stale table with one built under the new epoch**
+//! before `swap_sim` returns, so a materialized registration is
+//! bit-identical to a batched one across its whole epoch history. Each
+//! build is announced via [`EventKind::TierPromote`] and visible as
+//! [`RegSnapshot::tier`] / the `ambipla_tier` metric family.
 
 use crate::stats::{
     EpochStats, FlushCause, RegSnapshot, RegStats, ServiceStats, StatsSnapshot, Tier,
@@ -165,24 +157,10 @@ pub struct ServeConfig {
     /// holds per registration unchanged. Default 1 (the classic single
     /// batcher thread).
     pub shards: usize,
-    /// When (if ever) registrations are promoted to the materialized
-    /// truth-table tier — see the [module docs](self) on tiered
-    /// evaluation. Default [`TierPolicy::Auto`].
+    /// Whether eligible registrations are served from materialized
+    /// truth tables — see the [module docs](self) on tiered evaluation.
+    /// Default [`TierPolicy::Forced`].
     pub tier_policy: TierPolicy,
-    /// Widest backend (in inputs) the tier may materialize; backends
-    /// above it always stay batched. Must be < 64 while the policy is
-    /// enabled (a `2^n` table index must fit a `u64`). Default 12
-    /// (a 4096-assignment sweep).
-    pub tier_max_inputs: usize,
-    /// Auto-promotion traffic floor: a registration must have served at
-    /// least this many lanes (within its current epoch) before the
-    /// cost comparison is consulted, so short-lived registrations never
-    /// pay a sweep. Default 4096.
-    pub tier_min_requests: u64,
-    /// Memory guard: a backend whose [`table_bytes`] price exceeds this
-    /// budget is never materialized, regardless of policy. Default 1 MiB
-    /// (a 12-input table of up to 1024 outputs).
-    pub tier_max_table_bytes: usize,
 }
 
 impl Default for ServeConfig {
@@ -193,29 +171,30 @@ impl Default for ServeConfig {
             queue_depth: 256,
             block_words: 1,
             shards: 1,
-            tier_policy: TierPolicy::Auto,
-            tier_max_inputs: 12,
-            tier_min_requests: 4096,
-            tier_max_table_bytes: 1 << 20,
+            tier_policy: TierPolicy::Forced,
         }
     }
 }
 
-/// When [`SimService`] promotes registrations to the materialized
-/// truth-table tier (see the [module docs](self)).
+/// Widest backend (in inputs) the tier materializes: a 4096-assignment
+/// sweep.
+const TIER_MAX_INPUTS: usize = 12;
+
+/// Memory guard: a backend whose [`table_bytes`] price exceeds this is
+/// never materialized. 1 MiB is a 12-input table of up to 2048 outputs.
+const TIER_MAX_TABLE_BYTES: u128 = 1 << 20;
+
+/// Whether [`SimService`] serves eligible registrations from
+/// materialized truth tables (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TierPolicy {
     /// Never materialize; every registration serves batched.
     Disabled,
-    /// Promote an eligible registration once its observed evaluation
-    /// spend exceeds the one-time exhaustive-sweep cost (and the
-    /// `tier_min_requests` traffic floor is met). The default.
+    /// Materialize every eligible registration at registration and
+    /// before every swap ack, so the table answers from the first
+    /// request. Ineligible backends (too wide, over the memory budget)
+    /// serve batched. The default.
     #[default]
-    Auto,
-    /// Materialize every eligible registration at registration time —
-    /// benches and latency-critical deployments that want the table from
-    /// the first request. Ineligible backends (too wide, over the memory
-    /// budget) still serve batched.
     Forced,
 }
 
@@ -225,11 +204,7 @@ impl ServeConfig {
     /// [`ConfigError`] instead of panicking mid-flight or misbehaving
     /// silently (a `queue_depth` of 0 would make every `try_submit`
     /// rejection-only; `block_words` / `shards` of 0 have no meaningful
-    /// interpretation), and refuses contradictory
-    /// tiering knobs: with the policy enabled, `tier_max_inputs` must
-    /// stay below 64 (table indices are `u64` assignments) and
-    /// `tier_max_table_bytes` must afford at least a one-output table at
-    /// that width — otherwise no advertised promotion could ever happen.
+    /// interpretation).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.queue_depth == 0 {
             return Err(ConfigError::ZeroQueueDepth);
@@ -239,14 +214,6 @@ impl ServeConfig {
         }
         if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
-        }
-        if self.tier_policy != TierPolicy::Disabled {
-            if self.tier_max_inputs >= 64 {
-                return Err(ConfigError::TierInputsTooWide);
-            }
-            if table_bytes(self.tier_max_inputs, 1) > self.tier_max_table_bytes as u128 {
-                return Err(ConfigError::TierBudgetTooSmall);
-            }
         }
         Ok(())
     }
@@ -261,15 +228,6 @@ pub enum ConfigError {
     ZeroBlockWords,
     /// `shards == 0`: there would be no batcher thread to serve requests.
     ZeroShards,
-    /// `tier_max_inputs >= 64` with the tier policy enabled: a `2^n`
-    /// table index must fit a packed `u64` assignment.
-    TierInputsTooWide,
-    /// `tier_max_table_bytes` cannot afford even a one-output table at
-    /// `tier_max_inputs` while the tier policy is enabled — the two
-    /// knobs contradict each other and no promotion could ever happen at
-    /// the advertised width (disable the policy or shrink
-    /// `tier_max_inputs` instead).
-    TierBudgetTooSmall,
 }
 
 impl fmt::Display for ConfigError {
@@ -278,15 +236,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroQueueDepth => write!(f, "queue_depth must be at least 1"),
             ConfigError::ZeroBlockWords => write!(f, "block_words must be at least 1"),
             ConfigError::ZeroShards => write!(f, "shards must be at least 1"),
-            ConfigError::TierInputsTooWide => write!(
-                f,
-                "tier_max_inputs must stay below 64 while the tier policy is enabled"
-            ),
-            ConfigError::TierBudgetTooSmall => write!(
-                f,
-                "tier_max_table_bytes cannot fit a one-output table at tier_max_inputs \
-                 (contradictory tiering knobs)"
-            ),
         }
     }
 }
@@ -972,29 +921,17 @@ struct Registered {
     n_outputs: usize,
     /// Lane words per full block (`ServeConfig::block_words`).
     block_words: usize,
-    /// The service's tier policy (`ServeConfig::tier_policy`).
-    tier_policy: TierPolicy,
-    /// Auto-promotion traffic floor (`ServeConfig::tier_min_requests`).
-    tier_min_requests: u64,
-    /// Whether this backend may ever be materialized: the policy is
-    /// enabled, the arity is within `tier_max_inputs`, and the table
-    /// price fits `tier_max_table_bytes` (the memory guard). Fixed at
-    /// registration — swaps keep the arity, so they keep eligibility.
+    /// Whether this backend is served from a table: the policy is
+    /// `Forced`, the arity is within [`TIER_MAX_INPUTS`], and the table
+    /// price fits [`TIER_MAX_TABLE_BYTES`]. Fixed at registration —
+    /// swaps keep the arity, so they keep eligibility.
     tier_eligible: bool,
-    /// The materialized tier: `Some` once promoted, dropped (and
-    /// possibly rebuilt) on every swap. Only ever set while the queue is
-    /// empty; while present, every request is answered from it on
-    /// arrival ([`answer_from_table`](Registered::answer_from_table)), so
-    /// the queue stays empty.
+    /// The materialized tier: built at registration and rebuilt on every
+    /// swap when eligible, `None` otherwise. Only ever set while the
+    /// queue is empty; while present, every request is answered from it
+    /// on arrival ([`answer_from_table`](Registered::answer_from_table)),
+    /// so the queue stays empty.
     table: Option<TruthTable>,
-    /// Lanes flushed under the current epoch — the Auto policy's
-    /// traffic-floor counter. Reset on swap.
-    lanes_served: u64,
-    /// Lanes the *backend* actually evaluated under the current epoch
-    /// (full `words × 64` per flush): the Auto policy's spend counter —
-    /// promotion is profitable once this reaches `2^n_inputs` (see the
-    /// module docs). Reset on swap.
-    eval_lanes: u64,
     /// State shared with the handle: the pending counter this side
     /// decrements on flush, and the epoch this side publishes on swap.
     slot: Arc<SlotState>,
@@ -1020,22 +957,17 @@ impl Registered {
         let n_outputs = sim.n_outputs();
         let epoch_stats = slot.stats.current_epoch();
         // Short-circuit order matters: table_bytes asserts n_inputs < 64,
-        // which the first two tests (with validate's tier_max_inputs < 64
-        // bound) guarantee.
-        let tier_eligible = config.tier_policy != TierPolicy::Disabled
-            && n_inputs <= config.tier_max_inputs
-            && table_bytes(n_inputs, n_outputs) <= config.tier_max_table_bytes as u128;
+        // which the width test guarantees.
+        let tier_eligible = config.tier_policy == TierPolicy::Forced
+            && n_inputs <= TIER_MAX_INPUTS
+            && table_bytes(n_inputs, n_outputs) <= TIER_MAX_TABLE_BYTES;
         Registered {
             sim,
             n_inputs,
             n_outputs,
             block_words: config.block_words,
-            tier_policy: config.tier_policy,
-            tier_min_requests: config.tier_min_requests,
             tier_eligible,
             table: None,
-            lanes_served: 0,
-            eval_lanes: 0,
             slot,
             epoch: 0,
             epoch_stats,
@@ -1047,12 +979,12 @@ impl Registered {
         }
     }
 
-    /// Materialize the current backend into a [`TruthTable`] and flip
-    /// the slot's tier — the promotion itself, shared by Auto (after a
-    /// qualifying flush), Forced (at registration) and the post-swap
-    /// re-materialization. The sweep cost is measured for real and
-    /// carried by the [`EventKind::TierPromote`] event.
-    fn promote(&mut self, recorder: &Option<Arc<dyn Recorder>>) {
+    /// Materialize the current backend into a [`TruthTable`], replacing
+    /// any table of an earlier epoch, and mark the slot's tier — at
+    /// registration and after every swap's drain. The sweep cost is
+    /// measured for real and carried by the [`EventKind::TierPromote`]
+    /// event.
+    fn materialize(&mut self, recorder: &Option<Arc<dyn Recorder>>) {
         let started = Instant::now();
         let table = TruthTable::from_simulator(self.sim.as_ref());
         let build_ns = started.elapsed().as_nanos() as u64;
@@ -1138,7 +1070,6 @@ impl Registered {
         self.out.clear();
         self.out.resize(self.n_outputs * words, 0);
         self.sim.eval_words(&self.packed, &mut self.out, words);
-        self.eval_lanes += (words * LANES) as u64;
         self.account(cause, lanes, words * LANES, latency_ns, recorder);
         // Scatter lane results. Only the `lanes` valid lanes are ever
         // unpacked, which is what makes partial (deadline) blocks safe —
@@ -1152,22 +1083,6 @@ impl Registered {
         }
         self.vectors.clear();
         self.opened = None;
-        // Auto-tiering: once this epoch's backend spend has provably paid
-        // for a full exhaustive sweep (eval_lanes ≥ 2^n — see the module
-        // docs for why the per-lane cost cancels) and the traffic floor
-        // is met, materialize: the queue was just emptied, so from the
-        // next request on every one is answered on arrival. A swap or
-        // shutdown drain is the backend's last flush, so it never
-        // promotes.
-        self.lanes_served += lanes as u64;
-        if matches!(cause, FlushCause::Full | FlushCause::Deadline)
-            && self.tier_policy == TierPolicy::Auto
-            && self.tier_eligible
-            && self.lanes_served >= self.tier_min_requests
-            && self.eval_lanes >= 1u64 << self.n_inputs
-        {
-            self.promote(recorder);
-        }
     }
 }
 
@@ -1223,12 +1138,12 @@ fn batcher_loop(rx: Receiver<Msg>, config: ServeConfig, recorder: Option<Arc<dyn
                 if let Some(rec) = &recorder {
                     rec.record(Event::now(EventKind::Register { slot: id as u32 }));
                 }
-                // Forced tier: the table is ready before the first
-                // request (register_sim has already returned the id, but
-                // every Submit for it lands behind this message), so the
-                // queue is still empty.
-                if r.tier_policy == TierPolicy::Forced && r.tier_eligible {
-                    r.promote(&recorder);
+                // The table is ready before the first request
+                // (register_sim has already returned the id, but every
+                // Submit for it lands behind this message), so the queue
+                // is still empty.
+                if r.tier_eligible {
+                    r.materialize(&recorder);
                 }
                 registry[id] = Some(r);
             }
@@ -1282,14 +1197,6 @@ fn batcher_loop(rx: Receiver<Msg>, config: ServeConfig, recorder: Option<Arc<dyn
                 let had_open = r.opened.is_some();
                 let drained_lanes = r.vectors.len();
                 r.flush(FlushCause::Swap, &recorder);
-                // The outgoing backend's table (if any) is stale the
-                // moment the new backend installs — drop it and reset the
-                // new epoch's promotion counters before deciding whether
-                // to re-materialize below.
-                let was_materialized = r.table.take().is_some();
-                r.slot.stats.set_tier(Tier::Batched);
-                r.lanes_served = 0;
-                r.eval_lanes = 0;
                 r.sim = sim;
                 r.epoch += 1;
                 r.epoch_stats = r.slot.stats.begin_epoch();
@@ -1303,16 +1210,11 @@ fn batcher_loop(rx: Receiver<Msg>, config: ServeConfig, recorder: Option<Arc<dyn
                         drained_lanes: drained_lanes as u32,
                     }));
                 }
-                // Re-materialize under the new epoch before acking (the
-                // drain above left the queue empty), so a materialized
-                // registration never silently degrades across a swap:
-                // Forced always, Auto when the slot had already proven
-                // the table worthwhile.
-                if r.tier_eligible
-                    && (r.tier_policy == TierPolicy::Forced
-                        || (r.tier_policy == TierPolicy::Auto && was_materialized))
-                {
-                    r.promote(&recorder);
+                // Replace the outgoing backend's stale table with one built
+                // under the new epoch before acking (the drain above left
+                // the queue empty); no message is handled in between.
+                if r.tier_eligible {
+                    r.materialize(&recorder);
                 }
                 if had_open {
                     oldest_stale = true;
@@ -1353,19 +1255,32 @@ mod tests {
         FaultyGnorPla::new(pla, defects)
     }
 
+    /// A batched service with a short deadline: these small test covers
+    /// would otherwise be served from tables.
     fn quick() -> ServeConfig {
         ServeConfig {
             max_wait: Duration::from_millis(1),
+            tier_policy: TierPolicy::Disabled,
+            ..ServeConfig::default()
+        }
+    }
+
+    /// A batched service whose deadline never fires within a test: only
+    /// full blocks, swaps and shutdown flush.
+    fn no_deadline() -> ServeConfig {
+        ServeConfig {
+            max_wait: Duration::from_secs(10),
+            tier_policy: TierPolicy::Disabled,
             ..ServeConfig::default()
         }
     }
 
     /// Config for driving `Registered::flush` directly at a chosen block
-    /// width (the tier knobs stay at their defaults, far above these
-    /// tests' traffic).
+    /// width.
     fn words_config(block_words: usize) -> ServeConfig {
         ServeConfig {
             block_words,
+            tier_policy: TierPolicy::Disabled,
             ..ServeConfig::default()
         }
     }
@@ -1444,9 +1359,8 @@ mod tests {
     fn try_submit_rejects_once_the_queue_is_full() {
         let service = SimService::start(ServeConfig {
             // Nothing flushes until shutdown: the queue can only grow.
-            max_wait: Duration::from_secs(10),
             queue_depth: 4,
-            ..ServeConfig::default()
+            ..no_deadline()
         })
         .expect("valid config");
         let cover = adder();
@@ -1479,9 +1393,8 @@ mod tests {
     #[test]
     fn flushes_free_queue_capacity() {
         let service = SimService::start(ServeConfig {
-            max_wait: Duration::from_millis(1),
             queue_depth: 2,
-            ..ServeConfig::default()
+            ..quick()
         })
         .expect("valid config");
         let cover = adder();
@@ -1502,9 +1415,8 @@ mod tests {
     #[test]
     fn queues_are_bounded_per_simulator() {
         let service = SimService::start(ServeConfig {
-            max_wait: Duration::from_secs(10),
             queue_depth: 2,
-            ..ServeConfig::default()
+            ..no_deadline()
         })
         .expect("valid config");
         let a = service.register(adder());
@@ -1520,11 +1432,7 @@ mod tests {
     fn full_block_flushes_without_waiting_for_the_deadline() {
         // A generous deadline: if the 64th request did not trigger the
         // flush, this test would sit for 10 s and time out.
-        let service = SimService::start(ServeConfig {
-            max_wait: Duration::from_secs(10),
-            ..ServeConfig::default()
-        })
-        .expect("valid config");
+        let service = SimService::start(no_deadline()).expect("valid config");
         let cover = adder();
         let id = service.register(cover.clone());
         let (sink, stream) = reply_channel();
@@ -1586,11 +1494,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_pending_requests() {
-        let service = SimService::start(ServeConfig {
-            max_wait: Duration::from_secs(10),
-            ..ServeConfig::default()
-        })
-        .expect("valid config");
+        let service = SimService::start(no_deadline()).expect("valid config");
         let cover = adder();
         let id = service.register(cover.clone());
         let tickets: Vec<_> = (0..3u64)
@@ -1668,9 +1572,8 @@ mod tests {
         // block_words = 2: 128 requests are exactly one full flush, and
         // the generous deadline proves the 128th request triggered it.
         let service = SimService::start(ServeConfig {
-            max_wait: Duration::from_secs(10),
             block_words: 2,
-            ..ServeConfig::default()
+            ..no_deadline()
         })
         .expect("valid config");
         let cover = adder();
@@ -1733,11 +1636,7 @@ mod tests {
     /// the bumped epoch — the per-reply half of the epoch contract.
     #[test]
     fn swap_splits_replies_by_epoch() {
-        let service = SimService::start(ServeConfig {
-            max_wait: Duration::from_secs(10), // only swaps flush
-            ..ServeConfig::default()
-        })
-        .expect("valid config");
+        let service = SimService::start(no_deadline()).expect("valid config"); // only swaps flush
         let cover = adder();
         let nominal = GnorPla::from_cover(&cover);
         let faulty = faulty_adder();
@@ -1778,11 +1677,7 @@ mod tests {
 
     #[test]
     fn swap_drain_answers_every_queued_request() {
-        let service = SimService::start(ServeConfig {
-            max_wait: Duration::from_secs(10),
-            ..ServeConfig::default()
-        })
-        .expect("valid config");
+        let service = SimService::start(no_deadline()).expect("valid config");
         let cover = adder();
         let id = service.register(cover.clone());
         let tickets: Vec<_> = (0..5u64)
@@ -1833,22 +1728,6 @@ mod tests {
                 },
                 ConfigError::ZeroShards,
             ),
-            (
-                ServeConfig {
-                    tier_max_inputs: 64,
-                    ..ServeConfig::default()
-                },
-                ConfigError::TierInputsTooWide,
-            ),
-            (
-                // table_bytes(12, 1) = 512: a 8-byte budget cannot fit
-                // any table at the advertised width.
-                ServeConfig {
-                    tier_max_table_bytes: 8,
-                    ..ServeConfig::default()
-                },
-                ConfigError::TierBudgetTooSmall,
-            ),
         ] {
             assert_eq!(config.validate().unwrap_err(), expected);
             match SimService::start(config) {
@@ -1865,18 +1744,6 @@ mod tests {
             ..ServeConfig::default()
         })
         .is_ok());
-        // The tier knobs are only constrained while the policy is
-        // enabled: Disabled ignores even contradictory values.
-        assert_eq!(
-            ServeConfig {
-                tier_policy: TierPolicy::Disabled,
-                tier_max_inputs: 64,
-                tier_max_table_bytes: 0,
-                ..ServeConfig::default()
-            }
-            .validate(),
-            Ok(())
-        );
     }
 
     #[test]
@@ -1913,9 +1780,8 @@ mod tests {
         // epoch contract per registration, and stats() folds across
         // shards.
         let service = SimService::start(ServeConfig {
-            max_wait: Duration::from_millis(1),
             shards: 3,
-            ..ServeConfig::default()
+            ..quick()
         })
         .expect("valid config");
         assert_eq!(service.shard_count(), 3);
@@ -1966,9 +1832,8 @@ mod tests {
     #[test]
     fn try_submit_tagged_is_bounded_like_try_submit() {
         let service = SimService::start(ServeConfig {
-            max_wait: Duration::from_secs(10), // nothing flushes until shutdown
-            queue_depth: 3,
-            ..ServeConfig::default()
+            queue_depth: 3, // nothing flushes until shutdown
+            ..no_deadline()
         })
         .expect("valid config");
         let cover = adder();
@@ -2029,6 +1894,7 @@ mod tests {
 
     #[test]
     fn forced_tier_serves_from_the_table_without_evaluating_the_backend() {
+        assert_eq!(ServeConfig::default().tier_policy, TierPolicy::Forced);
         let service = SimService::start(ServeConfig {
             max_wait: Duration::from_secs(10),
             tier_policy: TierPolicy::Forced,
@@ -2069,55 +1935,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn auto_tier_promotes_after_the_traffic_floor() {
-        let service = SimService::start(ServeConfig {
-            max_wait: Duration::from_secs(10),
-            tier_min_requests: 128,
-            ..ServeConfig::default()
-        })
-        .expect("valid config");
-        let cover = adder();
-        let probe = Probe::of(cover.clone());
-        let id = service.register_sim(Arc::clone(&probe) as SharedSim, SimKey::of_cover(&cover));
-        let (sink, stream) = reply_channel();
-        let fill = |round: u64| {
-            for tag in 0..64u64 {
-                service.submit_tagged(id, tag % 8, tag, &sink);
-            }
-            for _ in 0..64 {
-                let reply = stream.recv();
-                assert_eq!(
-                    reply.outputs,
-                    cover.eval_bits(reply.tag % 8),
-                    "round {round}"
-                );
-            }
-        };
-        // Round 1: 64 lanes served and evaluated (64 ≥ 2^3 — the spend
-        // test is already met) but below the 128-lane traffic floor:
-        // still batched.
-        fill(1);
-        assert_eq!(service.stats_for(id).tier, Tier::Batched);
-        // Round 2 reaches the floor; the flush promotes afterwards.
-        fill(2);
-        assert_eq!(service.stats_for(id).tier, Tier::Materialized);
-        // Round 3 serves from the table, one full one-lane block per
-        // request: no backend call, and occupancy stays exact.
-        fill(3);
-        let snap = service.stats();
-        assert_eq!(snap.materialized, 1);
-        assert_eq!(snap.blocks, 2 + 64);
-        assert_eq!(snap.full_flushes, 2 + 64);
-        assert_eq!(snap.lanes_filled, 3 * 64);
-        assert!((snap.lane_occupancy - 1.0).abs() < 1e-12);
-        assert_eq!(
-            probe.words_evaluated.load(Ordering::Relaxed),
-            2 + 1,
-            "one word per batched flush, then the 2^3-assignment sweep"
-        );
-    }
-
     /// A materialized registration answers each request when it arrives:
     /// with a 10 s deadline, a lone request that queued for `max_wait`
     /// would take 10 s.
@@ -2149,7 +1966,6 @@ mod tests {
         let service = SimService::start(ServeConfig {
             max_wait: Duration::from_secs(10),
             tier_policy: TierPolicy::Disabled,
-            tier_min_requests: 1,
             ..ServeConfig::default()
         })
         .expect("valid config");
@@ -2176,108 +1992,54 @@ mod tests {
         );
     }
 
-    /// The memory guard: a budget that affords a one-output table at the
-    /// configured width (so validation passes) but not this backend's
-    /// two outputs — the registration silently stays batched even under
-    /// the Forced policy.
+    /// The eligibility edges under the Forced policy: a 13-input backend,
+    /// and a 12-input one whose table is one output over the 1 MiB budget
+    /// (2049 outputs), stay batched; 12 inputs × 2048 outputs is exactly
+    /// the budget and materializes.
     #[test]
     fn oversized_tables_stay_batched_despite_forced_policy() {
         let service = SimService::start(ServeConfig {
             max_wait: Duration::from_secs(10),
             tier_policy: TierPolicy::Forced,
-            tier_max_inputs: 3,
-            tier_max_table_bytes: 8, // table_bytes(3, 2) = 16 > 8
             ..ServeConfig::default()
         })
         .expect("valid config");
-        let cover = adder();
-        let probe = Probe::of(cover.clone());
-        let id = service.register_sim(Arc::clone(&probe) as SharedSim, SimKey::of_cover(&cover));
+        let constant = |inputs: usize, outputs: usize| {
+            let text = format!("{} {}", "-".repeat(inputs), "1".repeat(outputs));
+            Probe::of(Cover::parse(&text, inputs, outputs).expect("valid cover"))
+        };
+        assert_eq!(table_bytes(12, 2048), TIER_MAX_TABLE_BYTES);
         let (sink, stream) = reply_channel();
-        for tag in 0..64u64 {
-            service.submit_tagged(id, tag % 8, tag, &sink);
+        for (key, inputs, outputs) in [(1, 13, 1), (2, 12, 2049)] {
+            let probe = constant(inputs, outputs);
+            let id = service.register_sim(Arc::clone(&probe) as SharedSim, SimKey::new(key));
+            for tag in 0..64u64 {
+                service.submit_tagged(id, tag, tag, &sink);
+            }
+            for _ in 0..64 {
+                assert_eq!(stream.recv().outputs, vec![true; outputs]);
+            }
+            assert_eq!(
+                service.stats_for(id).tier,
+                Tier::Batched,
+                "{inputs}×{outputs}"
+            );
+            assert_eq!(
+                probe.words_evaluated.load(Ordering::Relaxed),
+                1,
+                "{inputs}×{outputs}: served through the batched path, one flush and no sweep"
+            );
         }
-        for _ in 0..64 {
-            let reply = stream.recv();
-            assert_eq!(reply.outputs, cover.eval_bits(reply.tag % 8));
-        }
-        assert_eq!(service.stats_for(id).tier, Tier::Batched);
-        let snap = service.stats();
-        assert_eq!(snap.materialized, 0);
+        let probe = constant(12, 2048);
+        let id = service.register_sim(Arc::clone(&probe) as SharedSim, SimKey::new(3));
+        assert_eq!(service.submit(id, 0).wait(), vec![true; 2048]);
+        assert_eq!(service.stats_for(id).tier, Tier::Materialized);
         assert_eq!(
             probe.words_evaluated.load(Ordering::Relaxed),
-            1,
-            "served through the batched path: one flush, no sweep"
+            64,
+            "one 2^12-assignment sweep, then answered from the table"
         );
-    }
-
-    /// A swap or shutdown drain is the backend's last flush, so it must
-    /// never promote: a table built then would never answer a request.
-    /// With a 32-lane traffic floor and 40 requests queued, the drains
-    /// meet both Auto conditions — only the flush cause stops them.
-    #[test]
-    fn drain_flushes_never_promote() {
-        let ring = Arc::new(ambipla_obs::EventRing::with_capacity(1024));
-        let service = SimService::start_with_recorder(
-            ServeConfig {
-                max_wait: Duration::from_secs(10), // only drains flush
-                tier_min_requests: 32,
-                ..ServeConfig::default()
-            },
-            Arc::clone(&ring) as Arc<dyn Recorder>,
-        )
-        .expect("valid config");
-        let cover = adder();
-        let outgoing = Probe::of(cover.clone());
-        let id = service.register_sim(Arc::clone(&outgoing) as SharedSim, SimKey::new(5));
-        let (sink, stream) = reply_channel();
-        for tag in 0..40u64 {
-            service.submit_tagged(id, tag % 8, tag, &sink);
-        }
-        let incoming = Probe::of(cover.clone());
-        assert_eq!(service.swap_sim(id, Arc::clone(&incoming) as SharedSim), 1);
-        for _ in 0..40 {
-            let reply = stream.recv();
-            assert_eq!(
-                (reply.epoch, reply.outputs),
-                (0, cover.eval_bits(reply.tag % 8))
-            );
-        }
-        assert_eq!(
-            outgoing.words_evaluated.load(Ordering::Relaxed),
-            1,
-            "the outgoing backend is evaluated once: the drain, no sweep"
-        );
-        assert_eq!(service.stats_for(id).tier, Tier::Batched);
-        assert_eq!(incoming.words_evaluated.load(Ordering::Relaxed), 0);
-
-        // The shutdown drain of the incoming backend does not promote
-        // either.
-        for tag in 0..40u64 {
-            service.submit_tagged(id, tag % 8, tag, &sink);
-        }
-        let snap = service.shutdown();
-        for _ in 0..40 {
-            let reply = stream.recv();
-            assert_eq!(
-                (reply.epoch, reply.outputs),
-                (1, cover.eval_bits(reply.tag % 8))
-            );
-        }
-        assert_eq!(
-            incoming.words_evaluated.load(Ordering::Relaxed),
-            1,
-            "the shutdown drain evaluates once, no sweep"
-        );
-        assert_eq!(snap.materialized, 0);
-        assert_eq!((snap.swap_flushes, snap.shutdown_flushes), (1, 1));
-        assert!(
-            !ring
-                .drain()
-                .iter()
-                .any(|e| matches!(e.kind, EventKind::TierPromote { .. })),
-            "no table was built for either epoch"
-        );
+        assert_eq!(service.stats().materialized, 1);
     }
 
     /// A swap must drop the outgoing backend's table (its answers are

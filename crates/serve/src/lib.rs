@@ -32,8 +32,8 @@
 //!   validation ([`ConfigError`]), **epoch-versioned
 //!   hot swaps** ([`SimService::swap_sim`]: drain, install, bump — see
 //!   the [`batcher`] module docs for the full contract), and **tiered
-//!   evaluation** ([`TierPolicy`]): small, hot backends are
-//!   auto-materialized into packed
+//!   evaluation** ([`TierPolicy`]): small backends are materialized at
+//!   registration into packed
 //!   [`TruthTable`](ambipla_core::TruthTable)s and each request is
 //!   answered on arrival by O(1) indexed load (the
 //!   [`Tier::Materialized`] tier), bit-identically to

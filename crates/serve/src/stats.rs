@@ -19,16 +19,17 @@ use std::sync::{Arc, RwLock};
 
 pub use ambipla_obs::FlushCause;
 
-/// Which evaluation tier a registration is currently served by.
+/// Which evaluation tier a registration is served by.
 ///
-/// Every registration starts [`Batched`](Tier::Batched); small backends
-/// are promoted to [`Materialized`](Tier::Materialized) by the batcher's
-/// auto-tiering policy (or a forced-tier configuration), after which
-/// each request is answered on arrival by truth-table indexed load
-/// instead of waiting for a batched `eval_words` call. A hot swap drops
-/// the table, so the tier can move both ways over a registration's
-/// lifetime; [`RegSnapshot::tier`] and the `ambipla_tier` metric family
-/// report the live value.
+/// Every registration starts [`Batched`](Tier::Batched). Under the
+/// default `TierPolicy::Forced`, the batcher materializes each eligible
+/// backend as it handles the registration, which flips the tier to
+/// [`Materialized`](Tier::Materialized); from then on each request is
+/// answered on arrival by truth-table indexed load instead of waiting
+/// for a batched `eval_words` call. A hot swap rebuilds the table before
+/// it is acknowledged, so the tier stays put;
+/// [`RegSnapshot::tier`] and the `ambipla_tier` metric family report
+/// the live value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// Requests are lane-packed and each flushed block is evaluated by
@@ -238,7 +239,7 @@ pub struct RegStats {
     requests: AtomicU64,
     queue_full: AtomicU64,
     /// Live [`Tier`] as a relaxed atomic (0 = batched, 1 = materialized):
-    /// written by the batcher on promotion / swap, read by snapshots.
+    /// written by the batcher when it builds a table, read by snapshots.
     tier: AtomicU64,
     epochs: RwLock<Vec<Arc<EpochStats>>>,
 }
@@ -272,9 +273,8 @@ impl RegStats {
         self.queue_full.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Publish the registration's live [`Tier`] (batcher side: promotion
-    /// sets [`Tier::Materialized`], a hot swap resets to
-    /// [`Tier::Batched`] until the new epoch re-materializes).
+    /// Publish the registration's live [`Tier`] (batcher side: building
+    /// a table sets [`Tier::Materialized`]).
     pub fn set_tier(&self, tier: Tier) {
         self.tier
             .store(matches!(tier, Tier::Materialized) as u64, Ordering::Relaxed);
@@ -478,8 +478,7 @@ pub struct StatsSnapshot {
     /// with `SimService::epoch`.
     pub swaps: u64,
     /// Registrations currently served from the materialized tier
-    /// ([`Tier::Materialized`]) — a gauge, not a lifetime counter: swaps
-    /// demote until the new epoch re-materializes.
+    /// ([`Tier::Materialized`]) — a gauge, not a lifetime counter.
     pub materialized: u64,
     /// Total occupied lanes over all flushed blocks.
     pub lanes_filled: u64,

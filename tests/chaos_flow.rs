@@ -31,19 +31,20 @@
 //! every wire reply checked against its serving epoch's oracle truth.
 //!
 //! The tiered-evaluation run puts the same contract under the
-//! materialized truth-table tier: a small (12-input) registration
-//! auto-promotes *mid-run* under concurrent load, is hot-swapped after
-//! promotion (dropping and rebuilding its table under each new epoch),
-//! and every reply still matches its serving epoch's oracle with zero
-//! drops — the tier must be invisible in the results, before, during
-//! and after promotion.
+//! materialized truth-table tier: a small (12-input) registration is
+//! served from its table under concurrent load and hot-swapped twice
+//! (each swap rebuilds the table under the new epoch), and every reply
+//! still matches its serving epoch's oracle with zero drops — the tier
+//! must be invisible in the results, before and after every swap. The
+//! other runs serve batched (`TierPolicy::Disabled`), so their small
+//! adder exercises lane packing, flushes and drains.
 
 use ambipla::core::{EpochOracle, GnorPla, Simulator};
 use ambipla::fault::{repair_with_columns, ColumnRepairOutcome, DefectMap, FaultyGnorPla};
 use ambipla::logic::espresso::espresso;
 use ambipla::logic::Cover;
 use ambipla::obs::{Event, EventKind, EventRing};
-use ambipla::serve::{reply_channel, ServeConfig, SharedSim, SimKey, SimService};
+use ambipla::serve::{reply_channel, ServeConfig, SharedSim, SimKey, SimService, TierPolicy};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -200,6 +201,7 @@ fn chaos_hot_swaps_under_load_keep_every_reply_epoch_consistent() {
         ServeConfig {
             max_wait: Duration::from_micros(100),
             block_words: 2,
+            tier_policy: TierPolicy::Disabled,
             ..ServeConfig::default()
         },
         Arc::clone(&ring) as Arc<dyn ambipla::obs::Recorder>,
@@ -387,6 +389,7 @@ fn superseded_backends_are_never_evaluated_again() {
     let spec = spec();
     let service = SimService::start(ServeConfig {
         max_wait: Duration::from_secs(10), // only full blocks and drains flush
+        tier_policy: TierPolicy::Disabled,
         ..ServeConfig::default()
     })
     .expect("valid config");
@@ -461,23 +464,21 @@ fn superseded_backends_are_never_evaluated_again() {
     assert_eq!(snap.lanes_filled, 7 * 64 + 10);
 }
 
-/// Tiered-evaluation chaos: a 12-input registration under the *auto*
-/// policy promotes to the materialized truth-table tier mid-run, while
-/// client threads hammer it with unique-pattern bursts, and is then
-/// hot-swapped twice — through a different function and a different
-/// backend type — after promotion. Asserts:
+/// Tiered-evaluation chaos: a 12-input registration is materialized at
+/// registration and served from its truth table while client threads
+/// hammer it with unique-pattern bursts, then hot-swapped twice —
+/// through a different function and a different backend type. Asserts:
 ///
-/// * every reply bit-matches its serving epoch's oracle truth, across
-///   the batched phase, the promotion, and both post-promotion swaps,
+/// * every reply bit-matches its serving epoch's oracle truth, before
+///   and after both swaps,
 /// * zero drops (`requests == lanes_filled`),
-/// * each swap drops and rebuilds the table (the registration is
-///   materialized again after every swap), and the event ring carries
-///   exactly one `TierPromote` per build — the mid-run promotion plus
-///   one re-materialization per swap.
+/// * each swap rebuilds the table before it acks (the registration stays
+///   materialized), and the event ring carries exactly one `TierPromote`
+///   per build — registration plus one per swap.
 #[test]
-fn promotion_mid_run_and_post_promotion_swaps_stay_epoch_consistent() {
+fn materialized_swaps_under_load_stay_epoch_consistent() {
     use ambipla::benchmarks::RandomPla;
-    use ambipla::serve::{Tier, TierPolicy};
+    use ambipla::serve::Tier;
 
     const CLIENTS: u64 = 2;
     const BURST: u64 = 32;
@@ -496,11 +497,7 @@ fn promotion_mid_run_and_post_promotion_swaps_stay_epoch_consistent() {
     let service = SimService::start_with_recorder(
         ServeConfig {
             max_wait: Duration::from_micros(100),
-            // A low traffic floor so the run promotes quickly; the eval
-            // floor (observed spend ≥ the 2^12-lane build cost) still
-            // applies and is what the unique-pattern bursts must earn.
-            tier_min_requests: 256,
-            tier_policy: TierPolicy::Auto,
+            tier_policy: TierPolicy::Forced,
             ..ServeConfig::default()
         },
         Arc::clone(&ring) as Arc<dyn ambipla::obs::Recorder>,
@@ -512,20 +509,19 @@ fn promotion_mid_run_and_post_promotion_swaps_stay_epoch_consistent() {
     let tid = service.register_sim(initial, SimKey::new(0x71e5));
 
     let running = AtomicBool::new(true);
+    let replies = AtomicU64::new(0);
     let client_submitted = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let service = &service;
                 let oracle = &oracle;
                 let running = &running;
+                let replies = &replies;
                 s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(0x7ab1e ^ c);
                     let (sink, stream) = reply_channel();
                     let mut submitted = 0u64;
                     while running.load(Ordering::Relaxed) {
-                        // Fresh 12-bit patterns every burst: the batched
-                        // phase pays real evaluations and earns the
-                        // promotion.
                         for _ in 0..BURST {
                             let bits = rng.gen_range(0..1u64 << N);
                             service.submit_tagged(tid, bits, submitted << N | bits, &sink);
@@ -540,6 +536,7 @@ fn promotion_mid_run_and_post_promotion_swaps_stay_epoch_consistent() {
                                  the truth of epoch {} that served it",
                                 reply.epoch
                             );
+                            replies.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                     submitted
@@ -547,21 +544,20 @@ fn promotion_mid_run_and_post_promotion_swaps_stay_epoch_consistent() {
             })
             .collect();
 
-        // Wait for the mid-run promotion under live traffic.
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while service.stats_for(tid).tier != Tier::Materialized {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "the 12-input registration never promoted under sustained load"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        // A reply means the batcher has handled the registration, so
+        // the table is built.
+        await_clients(&running, "every client is answered under epoch 0", || {
+            replies.load(Ordering::Relaxed) >= CLIENTS * BURST
+        });
+        assert_eq!(
+            service.stats_for(tid).tier,
+            Tier::Materialized,
+            "materialized at registration"
+        );
 
-        // Two post-promotion hot swaps: a different function, then a
+        // Two hot swaps under load: a different function, then a
         // different backend type (the raw cover, same function as gen1).
-        // Auto policy re-materializes a previously-promoted registration
-        // as part of the swap, so the tier must read Materialized as
-        // soon as swap_sim acks.
+        // Each rebuilds the table before swap_sim acks.
         let candidates: [SharedSim; 2] = [
             Arc::new(GnorPla::from_cover(&gen1_cover)),
             Arc::new(gen1_cover.clone()),
@@ -589,14 +585,14 @@ fn promotion_mid_run_and_post_promotion_swaps_stay_epoch_consistent() {
     assert_eq!(snap.requests, client_submitted, "every submission counted");
     assert_eq!(
         snap.lanes_filled, client_submitted,
-        "zero dropped requests across promotion and both swaps"
+        "zero dropped requests across both swaps"
     );
 
-    // Exactly one table build per generation that earned one: the
-    // mid-run promotion plus one re-materialization per swap.
+    // Exactly one table build per generation: at registration, then one
+    // per swap.
     let events = ring.drain();
     assert_eq!(ring.dropped(), 0, "the ring never filled");
-    let promotes: Vec<(u64, u32)> = events
+    let builds: Vec<(u64, u32)> = events
         .iter()
         .filter_map(|e| match e.kind {
             EventKind::TierPromote {
@@ -609,7 +605,7 @@ fn promotion_mid_run_and_post_promotion_swaps_stay_epoch_consistent() {
         })
         .collect();
     assert_eq!(
-        promotes,
+        builds,
         vec![(0, N as u32), (1, N as u32), (2, N as u32)],
         "one TierPromote per build, stamped with its epoch"
     );
@@ -651,6 +647,7 @@ fn chaos_over_tcp_two_tenants_two_shards_stays_epoch_consistent() {
             shards: 2,
             max_wait: Duration::from_micros(100),
             block_words: 2,
+            tier_policy: TierPolicy::Disabled,
             ..ServeConfig::default()
         })
         .expect("valid config"),
@@ -868,6 +865,7 @@ proptest! {
         // swap drains and the shutdown drain — nothing else.
         let service = SimService::start(ServeConfig {
             max_wait: Duration::from_secs(10),
+            tier_policy: TierPolicy::Disabled,
             ..ServeConfig::default()
         })
     .expect("valid config");

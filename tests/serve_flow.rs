@@ -116,11 +116,12 @@ proptest! {
         // A short deadline so runs exercise deadline flushes alongside
         // full-block flushes (schedules longer than 64 per cover).
         // block_words > 1 additionally exercises multi-word packing and
-        // multi-word tail masking. The default tier floor (4096 lanes) is
-        // far above any schedule, so every registration stays batched.
+        // multi-word tail masking. The tier is disabled, so every
+        // registration stays batched.
         let service = SimService::start(ServeConfig {
             max_wait: Duration::from_micros(200),
             block_words,
+            tier_policy: TierPolicy::Disabled,
             ..ServeConfig::default()
         })
         .expect("valid config");
@@ -167,17 +168,17 @@ proptest! {
         prop_assert_eq!(words, snap.lane_capacity / LANES as u64);
     }
 
-    /// Mixed tiers on one service: with a forced policy bounded at 4
-    /// inputs, the 4- and 3-input registrations serve from materialized
-    /// truth tables while the 6-input one stays on the batched path —
-    /// and under an arbitrary interleaving of requests across all three
+    /// Mixed tiers on one service: under the forced policy, the 4- and
+    /// 3-input registrations serve from materialized truth tables while
+    /// the 13-input one, over the 12-input limit, stays on the batched
+    /// path — and under an arbitrary interleaving of requests across all three
     /// (tickets and tagged replies mixed, flush boundaries wherever they
     /// land), every reply must still equal the scalar answer. The tier
     /// is throughput mechanics; it must never be observable in the
     /// results.
     #[test]
     fn tiered_and_batched_registrations_interleave_transparently(
-        covers in (arb_cover(4, 2, 6), arb_cover(6, 3, 10), arb_cover(3, 1, 4)),
+        covers in (arb_cover(4, 2, 6), arb_cover(13, 3, 10), arb_cover(3, 1, 4)),
         schedule in proptest::collection::vec(
             (0..3usize, any::<u64>(), any::<bool>()),
             1..300,
@@ -188,7 +189,6 @@ proptest! {
         let service = SimService::start(ServeConfig {
             max_wait: Duration::from_micros(200),
             tier_policy: TierPolicy::Forced,
-            tier_max_inputs: 4,
             ..ServeConfig::default()
         })
         .expect("valid config");
@@ -219,10 +219,10 @@ proptest! {
             prop_assert_eq!(&ticket.wait(), &expected(i));
         }
 
-        // Registration (and forced promotion) is processed FIFO on the
+        // Registration (and its table build) is processed FIFO on the
         // shard ahead of every flush above, so after the drain the tier
-        // split is settled: the ≤ 4-input registrations materialized,
-        // the 6-input one batched.
+        // split is settled: the small registrations materialized, the
+        // 13-input one batched.
         prop_assert_eq!(service.stats_for(ids[0]).tier, Tier::Materialized);
         prop_assert_eq!(service.stats_for(ids[1]).tier, Tier::Batched);
         prop_assert_eq!(service.stats_for(ids[2]).tier, Tier::Materialized);
@@ -254,7 +254,11 @@ proptest! {
 /// alone.
 #[test]
 fn cover_and_faulty_twin_are_served_side_by_side() {
-    let service = SimService::with_defaults();
+    let service = SimService::start(ServeConfig {
+        tier_policy: TierPolicy::Disabled,
+        ..ServeConfig::default()
+    })
+    .expect("valid config");
     let spec = Cover::parse(
         "110 01\n101 01\n011 01\n111 01\n100 10\n010 10\n001 10\n111 10",
         3,
@@ -320,6 +324,7 @@ fn try_submit_composes_with_swap_drains() {
     let service = SimService::start(ServeConfig {
         max_wait: Duration::from_secs(10), // only swaps and shutdown flush
         queue_depth: 4,
+        tier_policy: TierPolicy::Disabled,
         ..ServeConfig::default()
     })
     .expect("valid config");
@@ -371,6 +376,7 @@ fn concurrent_try_submit_during_swaps_never_deadlocks() {
     let service = SimService::start(ServeConfig {
         max_wait: Duration::from_micros(100),
         queue_depth: 16,
+        tier_policy: TierPolicy::Disabled,
         ..ServeConfig::default()
     })
     .expect("valid config");
@@ -424,7 +430,11 @@ fn concurrent_try_submit_during_swaps_never_deadlocks() {
 /// even when the same bit patterns are in flight for all of them.
 #[test]
 fn identical_bits_to_different_covers_stay_separate() {
-    let service = SimService::with_defaults();
+    let service = SimService::start(ServeConfig {
+        tier_policy: TierPolicy::Disabled,
+        ..ServeConfig::default()
+    })
+    .expect("valid config");
     let covers: Vec<Cover> = ambipla::benchmarks::classics()
         .into_iter()
         .map(|b| b.on)
