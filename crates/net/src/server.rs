@@ -1125,21 +1125,7 @@ mod tests {
     /// reading a single reply leaves another tenant's service intact.
     #[test]
     fn abandoned_pipeline_does_not_disturb_another_tenant() {
-        // The queue holds the whole burst and the polite tenant's one
-        // request in flight. A full queue is backpressure, answered as
-        // `QueueFull` (see `dispatcher_queue_full_reaches_an_idle_client`);
-        // at the default depth of 256, whether a polite request meets one
-        // would depend on how far the batcher lags the dispatcher.
-        let service = Arc::new(
-            SimService::start(ServeConfig {
-                shards: 2,
-                max_wait: Duration::from_micros(100),
-                queue_depth: 2048,
-                tier_policy: TierPolicy::Disabled,
-                ..ServeConfig::default()
-            })
-            .expect("valid config"),
-        );
+        let service = service(2);
         let server = NetServer::bind("127.0.0.1:0", Arc::clone(&service), NetConfig::default())
             .expect("bind");
         let key = SimKey::new(21);
