@@ -92,20 +92,19 @@ fn workload(service: &SimService) {
     assert!(rejected > 0, "workload must exercise backpressure");
 
     // A fourth small registration: the default policy materializes it
-    // as the batcher handles the registration, so the scrape shows a
-    // `tier="materialized"` series next to the batched xor and the event
-    // ring records the table build.
+    // at registration, so the scrape shows a `tier="materialized"`
+    // series next to the batched xor and the event ring records the
+    // table build.
     let majority2 = logic::Cover::parse("11- 1\n1-1 1\n-11 1", 3, 1).expect("valid cover");
     let d = service.register_sim(Arc::new(majority2.clone()), SimKey::new(100));
-    for bits in 0..8u64 {
-        assert_eq!(service.submit(d, bits).wait(), majority2.eval_bits(bits));
-    }
-    // Read after a reply: register_sim returns before the table is built.
     assert_eq!(
         service.stats_for(d).tier,
         Tier::Materialized,
         "the small registration must be served from its table"
     );
+    for bits in 0..8u64 {
+        assert_eq!(service.submit(d, bits).wait(), majority2.eval_bits(bits));
+    }
 }
 
 /// Loopback TCP traffic so the seven `ambipla_net_*` families carry

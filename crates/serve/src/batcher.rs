@@ -103,9 +103,11 @@
 //! request is answered under the epoch current when it arrives. A hot
 //! swap **replaces the stale table with one built under the new epoch**
 //! before `swap_sim` returns, so a materialized registration is
-//! bit-identical to a batched one across its whole epoch history. Each
-//! build is announced via [`EventKind::TierPromote`] and visible as
-//! [`RegSnapshot::tier`] / the `ambipla_tier` metric family.
+//! bit-identical to a batched one across its whole epoch history. The
+//! tier is settled by the time `register_sim` returns and never changes;
+//! it is visible as [`RegSnapshot::tier`] / the `ambipla_tier` metric
+//! family, and each table build is announced via
+//! [`EventKind::TierPromote`].
 
 use crate::stats::{
     EpochStats, FlushCause, RegSnapshot, RegStats, ServiceStats, StatsSnapshot, Tier,
@@ -512,6 +514,7 @@ pub struct SimService {
     /// fixed arity), indexed by `SimId::slot`.
     slots: RwLock<Vec<Arc<SlotState>>>,
     queue_depth: usize,
+    tier_policy: TierPolicy,
     /// Event sink shared with the batcher threads. `None` (the default)
     /// keeps every record site a single branch — see
     /// [`Recorder`]'s disabled-path contract.
@@ -577,6 +580,7 @@ impl SimService {
             stats,
             slots: RwLock::new(Vec::new()),
             queue_depth: config.queue_depth,
+            tier_policy: config.tier_policy,
             recorder,
             nonce: NEXT_SERVICE.fetch_add(1, Ordering::Relaxed),
         })
@@ -602,7 +606,13 @@ impl SimService {
     /// Panics if the backend has more than 64 inputs (packed-assignment
     /// requests are `u64`s).
     pub fn register_sim(&self, sim: SharedSim, key: SimKey) -> SimId {
-        assert!(sim.n_inputs() <= 64, "at most 64 inputs per simulator");
+        let (n_inputs, n_outputs) = (sim.n_inputs(), sim.n_outputs());
+        assert!(n_inputs <= 64, "at most 64 inputs per simulator");
+        // Short-circuit order matters: table_bytes asserts n_inputs < 64,
+        // which the width test guarantees.
+        let materialize = self.tier_policy == TierPolicy::Forced
+            && n_inputs <= TIER_MAX_INPUTS
+            && table_bytes(n_inputs, n_outputs) <= TIER_MAX_TABLE_BYTES;
         let shard = shard_for_key(key, self.shards.len());
         // The stats registry is appended under the slot lock so its slot
         // numbering always matches the id numbering.
@@ -613,14 +623,20 @@ impl SimService {
                 .slots
                 .write()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
+            // analyze: allow(lock_order, reason = "name-keyed call graph merges ServiceStats::register (regs lock) with unrelated register fns; only regs is taken here, and regs never takes slots")
+            let stats = self.stats.register();
+            // Settled before the id is handed out; the batcher builds the
+            // table when it handles the Register message.
+            if materialize {
+                stats.mark_materialized();
+            }
             let slot = Arc::new(SlotState {
                 shard,
                 pending: AtomicUsize::new(0),
                 epoch: AtomicU64::new(0),
-                n_inputs: sim.n_inputs(),
-                n_outputs: sim.n_outputs(),
-                // analyze: allow(lock_order, reason = "name-keyed call graph merges ServiceStats::register (regs lock) with unrelated register fns; only regs is taken here, and regs never takes slots")
-                stats: self.stats.register(),
+                n_inputs,
+                n_outputs,
+                stats,
             });
             slots.push(Arc::clone(&slot));
             (slots.len() - 1, slot)
@@ -921,16 +937,12 @@ struct Registered {
     n_outputs: usize,
     /// Lane words per full block (`ServeConfig::block_words`).
     block_words: usize,
-    /// Whether this backend is served from a table: the policy is
-    /// `Forced`, the arity is within [`TIER_MAX_INPUTS`], and the table
-    /// price fits [`TIER_MAX_TABLE_BYTES`]. Fixed at registration —
-    /// swaps keep the arity, so they keep eligibility.
-    tier_eligible: bool,
-    /// The materialized tier: built at registration and rebuilt on every
-    /// swap when eligible, `None` otherwise. Only ever set while the
-    /// queue is empty; while present, every request is answered from it
-    /// on arrival ([`answer_from_table`](Registered::answer_from_table)),
-    /// so the queue stays empty.
+    /// The materialized tier: built at registration when the backend is
+    /// eligible and rebuilt on every swap, `None` for a batched
+    /// registration. Only ever set while the queue is empty; while
+    /// present, every request is answered from it on arrival
+    /// ([`answer_from_table`](Registered::answer_from_table)), so the
+    /// queue stays empty.
     table: Option<TruthTable>,
     /// State shared with the handle: the pending counter this side
     /// decrements on flush, and the epoch this side publishes on swap.
@@ -956,17 +968,11 @@ impl Registered {
         let n_inputs = sim.n_inputs();
         let n_outputs = sim.n_outputs();
         let epoch_stats = slot.stats.current_epoch();
-        // Short-circuit order matters: table_bytes asserts n_inputs < 64,
-        // which the width test guarantees.
-        let tier_eligible = config.tier_policy == TierPolicy::Forced
-            && n_inputs <= TIER_MAX_INPUTS
-            && table_bytes(n_inputs, n_outputs) <= TIER_MAX_TABLE_BYTES;
         Registered {
             sim,
             n_inputs,
             n_outputs,
             block_words: config.block_words,
-            tier_eligible,
             table: None,
             slot,
             epoch: 0,
@@ -980,15 +986,13 @@ impl Registered {
     }
 
     /// Materialize the current backend into a [`TruthTable`], replacing
-    /// any table of an earlier epoch, and mark the slot's tier — at
-    /// registration and after every swap's drain. The sweep cost is
-    /// measured for real and carried by the [`EventKind::TierPromote`]
-    /// event.
+    /// any table of an earlier epoch — at registration and after every
+    /// swap's drain. The sweep cost is measured for real and carried by
+    /// the [`EventKind::TierPromote`] event.
     fn materialize(&mut self, recorder: &Option<Arc<dyn Recorder>>) {
         let started = Instant::now();
         let table = TruthTable::from_simulator(self.sim.as_ref());
         let build_ns = started.elapsed().as_nanos() as u64;
-        self.slot.stats.set_tier(Tier::Materialized);
         if let Some(rec) = recorder {
             rec.record(Event::now(EventKind::TierPromote {
                 slot: self.slot.stats.slot(),
@@ -1138,11 +1142,11 @@ fn batcher_loop(rx: Receiver<Msg>, config: ServeConfig, recorder: Option<Arc<dyn
                 if let Some(rec) = &recorder {
                     rec.record(Event::now(EventKind::Register { slot: id as u32 }));
                 }
-                // The table is ready before the first request
-                // (register_sim has already returned the id, but every
-                // Submit for it lands behind this message), so the queue
-                // is still empty.
-                if r.tier_eligible {
+                // register_sim settled the tier. The table is ready before
+                // the first request (register_sim has already returned the
+                // id, but every Submit for it lands behind this message),
+                // so the queue is still empty.
+                if r.slot.stats.tier() == Tier::Materialized {
                     r.materialize(&recorder);
                 }
                 registry[id] = Some(r);
@@ -1213,7 +1217,7 @@ fn batcher_loop(rx: Receiver<Msg>, config: ServeConfig, recorder: Option<Arc<dyn
                 // Replace the outgoing backend's stale table with one built
                 // under the new epoch before acking (the drain above left
                 // the queue empty); no message is handled in between.
-                if r.tier_eligible {
+                if r.table.is_some() {
                     r.materialize(&recorder);
                 }
                 if had_open {
@@ -1904,6 +1908,11 @@ mod tests {
         let cover = adder();
         let probe = Probe::of(cover.clone());
         let id = service.register_sim(Arc::clone(&probe) as SharedSim, SimKey::new(9));
+        assert_eq!(
+            service.stats_for(id).tier,
+            Tier::Materialized,
+            "settled when register_sim returns"
+        );
         let (sink, stream) = reply_channel();
         for round in 0..3 {
             for tag in 0..64u64 {

@@ -228,7 +228,7 @@ mod tests {
     #[test]
     fn tier_series_track_the_live_tier_label() {
         let reg = crate::stats::RegStats::new(7);
-        reg.set_tier(crate::stats::Tier::Materialized);
+        reg.mark_materialized();
         let snap = reg.snapshot(0);
         let agg = StatsSnapshot::fold(std::slice::from_ref(&snap));
         let fams = metric_families(&[snap], &agg);

@@ -14,22 +14,23 @@
 //! bench output — it is not a transactional read, matching what
 //! production metric scrapes do.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 pub use ambipla_obs::FlushCause;
 
 /// Which evaluation tier a registration is served by.
 ///
-/// Every registration starts [`Batched`](Tier::Batched). Under the
-/// default `TierPolicy::Forced`, the batcher materializes each eligible
-/// backend as it handles the registration, which flips the tier to
-/// [`Materialized`](Tier::Materialized); from then on each request is
-/// answered on arrival by truth-table indexed load instead of waiting
-/// for a batched `eval_words` call. A hot swap rebuilds the table before
-/// it is acknowledged, so the tier stays put;
+/// The tier is fixed by the time `register_sim` returns. Under the
+/// default `TierPolicy::Forced`, an eligible backend is
+/// [`Materialized`](Tier::Materialized): the batcher builds its table
+/// as it handles the registration, ahead of every request, and each
+/// request is answered on arrival by truth-table indexed load instead
+/// of waiting for a batched `eval_words` call. Every other registration
+/// is [`Batched`](Tier::Batched). A hot swap rebuilds the table before
+/// it is acknowledged, so the tier never changes;
 /// [`RegSnapshot::tier`] and the `ambipla_tier` metric family report
-/// the live value.
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// Requests are lane-packed and each flushed block is evaluated by
@@ -238,9 +239,9 @@ pub struct RegStats {
     slot: u32,
     requests: AtomicU64,
     queue_full: AtomicU64,
-    /// Live [`Tier`] as a relaxed atomic (0 = batched, 1 = materialized):
-    /// written by the batcher when it builds a table, read by snapshots.
-    tier: AtomicU64,
+    /// Whether the registration is served from a table ([`Tier`]): set
+    /// once, by `register_sim` before it returns, and never cleared.
+    materialized: AtomicBool,
     epochs: RwLock<Vec<Arc<EpochStats>>>,
 }
 
@@ -251,7 +252,7 @@ impl RegStats {
             slot,
             requests: AtomicU64::new(0),
             queue_full: AtomicU64::new(0),
-            tier: AtomicU64::new(0),
+            materialized: AtomicBool::new(false),
             epochs: RwLock::new(vec![Arc::new(EpochStats::new(0))]),
         }
     }
@@ -273,19 +274,18 @@ impl RegStats {
         self.queue_full.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Publish the registration's live [`Tier`] (batcher side: building
-    /// a table sets [`Tier::Materialized`]).
-    pub fn set_tier(&self, tier: Tier) {
-        self.tier
-            .store(matches!(tier, Tier::Materialized) as u64, Ordering::Relaxed);
+    /// Mark the registration [`Tier::Materialized`]. One way: no
+    /// registration goes back to [`Tier::Batched`].
+    pub fn mark_materialized(&self) {
+        self.materialized.store(true, Ordering::Relaxed);
     }
 
-    /// The registration's live [`Tier`].
+    /// The registration's [`Tier`].
     pub fn tier(&self) -> Tier {
-        if self.tier.load(Ordering::Relaxed) == 0 {
-            Tier::Batched
-        } else {
+        if self.materialized.load(Ordering::Relaxed) {
             Tier::Materialized
+        } else {
+            Tier::Batched
         }
     }
 

@@ -219,10 +219,8 @@ proptest! {
             prop_assert_eq!(&ticket.wait(), &expected(i));
         }
 
-        // Registration (and its table build) is processed FIFO on the
-        // shard ahead of every flush above, so after the drain the tier
-        // split is settled: the small registrations materialized, the
-        // 13-input one batched.
+        // The tier split is settled at registration: the small
+        // registrations materialized, the 13-input one batched.
         prop_assert_eq!(service.stats_for(ids[0]).tier, Tier::Materialized);
         prop_assert_eq!(service.stats_for(ids[1]).tier, Tier::Batched);
         prop_assert_eq!(service.stats_for(ids[2]).tier, Tier::Materialized);
